@@ -174,23 +174,34 @@ func BenchmarkAblationCompartmentHeap(b *testing.B) {
 	}
 }
 
+// vmRunSeeds is the fixed seed set the VM benchmarks cycle through, so
+// the workload mix a benchmark measures does not depend on b.N.
+var vmRunSeeds = [8]uint64{1, 2, 3, 4, 5, 6, 7, 8}
+
 // BenchmarkVMRun measures raw simulator throughput: one xalan run per
 // iteration at a fixed configuration, reporting simulated-vs-real speed.
+// virtual-ns/run is the mean simulated time over the seeds run.
 func BenchmarkVMRun(b *testing.B) {
 	b.ReportAllocs()
 	spec, _ := javasim.LookupWorkload("xalan")
 	spec = spec.Scale(0.1)
 	eng := javasim.NewEngine(javasim.WithCache(0)) // uncached: measure simulation, not lookups
-	var virtualNS float64
+	var virtualNS [len(vmRunSeeds)]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(benchCtx, spec, javasim.Config{Threads: 8, Seed: uint64(i + 1)})
+		k := i % len(vmRunSeeds)
+		res, err := eng.Run(benchCtx, spec, javasim.Config{Threads: 8, Seed: vmRunSeeds[k]})
 		if err != nil {
 			b.Fatal(err)
 		}
-		virtualNS = float64(res.TotalTime)
+		virtualNS[k] = float64(res.TotalTime)
 	}
-	b.ReportMetric(virtualNS, "virtual-ns/run")
+	ran := min(b.N, len(vmRunSeeds))
+	var sum float64
+	for _, v := range virtualNS[:ran] {
+		sum += v
+	}
+	b.ReportMetric(sum/float64(ran), "virtual-ns/run")
 }
 
 // BenchmarkSweepWarmStart measures what warm-start snapshots buy a
@@ -228,7 +239,7 @@ func BenchmarkVMRunManycore(b *testing.B) {
 	eng := javasim.NewEngine(javasim.WithCache(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(benchCtx, spec, javasim.Config{Threads: 48, Seed: uint64(i + 1)}); err != nil {
+		if _, err := eng.Run(benchCtx, spec, javasim.Config{Threads: 48, Seed: vmRunSeeds[i%len(vmRunSeeds)]}); err != nil {
 			b.Fatal(err)
 		}
 	}

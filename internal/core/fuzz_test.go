@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"javasim/internal/fit"
+	"javasim/internal/heap"
 )
 
 // FuzzLoadPlan throws arbitrary bytes at the plan loader. Whatever the
@@ -43,6 +44,9 @@ func FuzzLoadPlan(f *testing.F) {
 		`{"Scale":7,"Scenarios":[{"Name":"a","Workload":"xalan"}]}`,
 		`{"Scenarios":[{"Name":"a","Workload":"xalan"},{"Name":"a","Workload":"xalan"}]}`,
 		`{"Scenarios":[{"Name":"a","Workload":"no-such-workload"}]}`,
+		// A heap factor in (0, 1) cannot size a heap; it must fail at
+		// load, not panic later on an engine goroutine.
+		`{"Scenarios":[{"Name":"a","Workload":"xalan","Overrides":{"HeapFactor":0.5}}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -57,6 +61,15 @@ func FuzzLoadPlan(f *testing.F) {
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("LoadPlan accepted a plan its own Validate rejects: %v", err)
+		}
+		// Every admitted heap factor must be one the heap can be built
+		// with.
+		for i := range p.Scenarios {
+			if o := p.Scenarios[i].Overrides; o != nil && o.HeapFactor != 0 {
+				if err := heap.ValidateFactor(o.HeapFactor); err != nil {
+					t.Fatalf("scenario %q passed validation with %v", p.Scenarios[i].Name, err)
+				}
+			}
 		}
 		// The fitter's precondition must be enforced at the schema
 		// level: anything declaring a usl artifact sweeps enough thread

@@ -11,6 +11,7 @@ import (
 
 	"javasim/internal/fit"
 	"javasim/internal/gc"
+	"javasim/internal/heap"
 	"javasim/internal/locks"
 	"javasim/internal/machine"
 	"javasim/internal/report"
@@ -80,7 +81,8 @@ func knownNames[K ~string](valid map[K]bool) string {
 // override — the ablation deltas of the paper's studies. The zero value
 // of every field means "leave the default".
 type ConfigOverrides struct {
-	// HeapFactor overrides the heap multiple (paper default 3x).
+	// HeapFactor overrides the heap multiple (paper default 3x); it must
+	// be at least 1.
 	HeapFactor float64 `json:",omitempty"`
 	// Compartments enables the compartmentalized heap (§IV suggestion 2).
 	Compartments int `json:",omitempty"`
@@ -187,8 +189,10 @@ func (o *ConfigOverrides) validate() error {
 	if o == nil {
 		return nil
 	}
-	if o.HeapFactor < 0 {
-		return fmt.Errorf("HeapFactor = %v", o.HeapFactor)
+	if o.HeapFactor != 0 {
+		if err := heap.ValidateFactor(o.HeapFactor); err != nil {
+			return err
+		}
 	}
 	if o.Compartments < 0 || o.BiasGroups < 0 || o.GCWorkers < 0 || o.Iterations < 0 {
 		return fmt.Errorf("negative override")

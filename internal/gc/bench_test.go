@@ -16,10 +16,10 @@ func BenchmarkCollectMinor(b *testing.B) {
 		reg := objmodel.NewRegistry(10000)
 		c := New(Config{Workers: 8}, h, reg)
 		for j := 0; j < 10000; j++ {
-			id := reg.Alloc(128, 0, 0)
+			id := reg.Alloc(128, 0)
 			c.OnAlloc(id, 0)
 			if j%3 != 0 {
-				reg.Kill(id, 0)
+				reg.Kill(id)
 			}
 		}
 		b.StartTimer()
@@ -45,10 +45,10 @@ func BenchmarkGCPolicy(b *testing.B) {
 				reg := objmodel.NewRegistry(10000)
 				c := NewWithPolicy(p, Config{Workers: 8}, h, reg)
 				for j := 0; j < 10000; j++ {
-					id := reg.Alloc(128, 0, 0)
+					id := reg.Alloc(128, 0)
 					c.OnAlloc(id, 0)
 					if j%3 != 0 {
-						reg.Kill(id, 0)
+						reg.Kill(id)
 					}
 				}
 				b.StartTimer()
@@ -69,7 +69,7 @@ func BenchmarkCollectFull(b *testing.B) {
 		reg := objmodel.NewRegistry(10000)
 		c := New(Config{Workers: 8}, h, reg)
 		for j := 0; j < 10000; j++ {
-			id := reg.Alloc(256, 0, 0)
+			id := reg.Alloc(256, 0)
 			c.OnAlloc(id, 0)
 		}
 		// Promote everything, then kill half.
@@ -80,7 +80,7 @@ func BenchmarkCollectFull(b *testing.B) {
 		}
 		reg.ForEach(func(id objmodel.ID, o *objmodel.Object) {
 			if id%2 == 0 && o.Live() {
-				reg.Kill(id, 0)
+				reg.Kill(id)
 			}
 		})
 		b.StartTimer()

@@ -238,6 +238,14 @@ type Collector struct {
 	young [][]objmodel.ID
 	old   []objmodel.ID
 
+	// spare is each compartment's second young-list backing array:
+	// CollectMinor writes survivors into it and swaps it with young on
+	// success, so steady-state collections allocate nothing. promoted is
+	// CollectMinor's reusable promotion buffer; its contents are copied
+	// into old before the next collection overwrites them.
+	spare    [][]objmodel.ID
+	promoted []objmodel.ID
+
 	// survBytes tracks each compartment's share of the survivor space.
 	survBytes []int64
 
@@ -270,6 +278,7 @@ func NewWithPolicy(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *
 		heap:      h,
 		reg:       reg,
 		young:     make([][]objmodel.ID, h.Compartments()),
+		spare:     make([][]objmodel.ID, h.Compartments()),
 		survBytes: make([]int64, h.Compartments()),
 		pauseHist: metrics.NewHistogram("gc-pause-ns"),
 	}
@@ -338,10 +347,11 @@ func (c *Collector) parallelTime(sequential sim.Time) sim.Time {
 
 // CollectMinor runs a minor collection of compartment comp at virtual time
 // now. It returns the pause, or heap.ErrOldGenFull when promotion cannot
-// fit — the caller must run CollectFull and retry.
+// fit — the caller must run CollectFull and retry. On that error the
+// compartment's young list, ages and generations are as they were before
+// the call.
 func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	var (
-		survivors     []objmodel.ID
 		survivorBytes int64
 		promotedBytes int64
 		scanned       int64
@@ -354,7 +364,8 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	// First pass: liveness and aging. Objects are processed in allocation
 	// order; overflow beyond the survivor space promotes regardless of age,
 	// as in HotSpot.
-	var promoted []objmodel.ID
+	survivors := c.spare[comp][:0]
+	promoted := c.promoted[:0]
 	for _, id := range c.young[comp] {
 		o := c.reg.Get(id)
 		if !o.Live() {
@@ -373,9 +384,13 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 		survivors = append(survivors, id)
 		survivorBytes += int64(o.Size)
 	}
+	// Keep the buffers' grown capacity whether or not the commit succeeds.
+	c.spare[comp] = survivors
+	c.promoted = promoted
 	if err := c.heap.CommitMinor(comp, survivorBytes, promotedBytes, c.survBytes[comp]); err != nil {
 		// Roll back aging and generation flags so the retry after a full
-		// collection observes consistent state.
+		// collection observes consistent state; young[comp] itself was
+		// only read.
 		for _, id := range promoted {
 			c.reg.Get(id).Gen = objmodel.Young
 		}
@@ -387,7 +402,7 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 		return Pause{}, err
 	}
 	c.survBytes[comp] = survivorBytes
-	c.young[comp] = survivors
+	c.young[comp], c.spare[comp] = survivors, c.young[comp][:0]
 	c.old = append(c.old, promoted...)
 	if c.onPromote != nil {
 		for _, id := range promoted {

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -34,13 +35,13 @@ func TestMinorReclaimsDead(t *testing.T) {
 	_, reg, c := newWorld(4, 1)
 	var ids []objmodel.ID
 	for i := 0; i < 100; i++ {
-		id := reg.Alloc(512, 0, 0)
+		id := reg.Alloc(512, 0)
 		c.OnAlloc(id, 0)
 		ids = append(ids, id)
 	}
 	// Kill the first 60.
 	for _, id := range ids[:60] {
-		reg.Kill(id, 1)
+		reg.Kill(id)
 	}
 	p, err := c.CollectMinor(0, 1000)
 	if err != nil {
@@ -65,7 +66,7 @@ func TestMinorReclaimsDead(t *testing.T) {
 
 func TestAgingAndPromotion(t *testing.T) {
 	_, reg, c := newWorld(4, 1)
-	id := reg.Alloc(1000, 0, 0)
+	id := reg.Alloc(1000, 0)
 	c.OnAlloc(id, 0)
 	threshold := int(c.Config().TenuringThreshold)
 	// The object stays young until it has survived threshold collections.
@@ -99,7 +100,7 @@ func TestSurvivorOverflowPromotes(t *testing.T) {
 	objSize := int32(1024)
 	n := int(3 * cap / int64(objSize))
 	for i := 0; i < n; i++ {
-		id := reg.Alloc(objSize, 0, 0)
+		id := reg.Alloc(objSize, 0)
 		c.OnAlloc(id, 0)
 	}
 	p, err := c.CollectMinor(0, 0)
@@ -120,7 +121,7 @@ func TestFullCollection(t *testing.T) {
 	// minors.
 	var ids []objmodel.ID
 	for i := 0; i < 50; i++ {
-		id := reg.Alloc(2048, 0, 0)
+		id := reg.Alloc(2048, 0)
 		c.OnAlloc(id, 0)
 		ids = append(ids, id)
 	}
@@ -134,9 +135,9 @@ func TestFullCollection(t *testing.T) {
 	}
 	// Kill half the old objects, plus allocate some fresh young ones.
 	for _, id := range ids[:25] {
-		reg.Kill(id, 1)
+		reg.Kill(id)
 	}
-	young := reg.Alloc(512, 0, 0)
+	young := reg.Alloc(512, 0)
 	c.OnAlloc(young, 0)
 	p, err := c.CollectFull(5000)
 	if err != nil {
@@ -160,6 +161,97 @@ func TestFullCollection(t *testing.T) {
 	}
 }
 
+// youngState captures a compartment's young list with each member's age
+// and generation.
+type youngState struct {
+	ids  []objmodel.ID
+	age  []uint8
+	gens []objmodel.Generation
+}
+
+func captureYoung(c *Collector, comp int) youngState {
+	var st youngState
+	for _, id := range c.young[comp] {
+		o := c.reg.Get(id)
+		st.ids = append(st.ids, id)
+		st.age = append(st.age, o.Age)
+		st.gens = append(st.gens, o.Gen)
+	}
+	return st
+}
+
+// TestMinorRollbackOnOldGenFull pins CollectMinor's failure contract
+// under the double-buffered young lists: after ErrOldGenFull the young
+// list, ages and generations equal their pre-collection values — when
+// the survivors went into a spare array recycled from an earlier
+// collection, and again on a retry that fails the same way. A retry that
+// then fits produces exactly the collection of a collector that never
+// failed.
+func TestMinorRollbackOnOldGenFull(t *testing.T) {
+	// build gives two identical worlds: a prior successful minor leaves
+	// the spare buffer holding a recycled array, then a live batch larger
+	// than the old generation is allocated on top of mixed-age survivors.
+	build := func() (*heap.Heap, *objmodel.Registry, *Collector, []objmodel.ID) {
+		h, reg, c := newWorld(1, 1)
+		for i := 0; i < 64; i++ {
+			id := reg.Alloc(512, 0)
+			c.OnAlloc(id, 0)
+			if i%3 == 0 {
+				reg.Kill(id)
+			}
+		}
+		if _, err := c.CollectMinor(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if cap(c.spare[0]) == 0 {
+			t.Fatal("first minor left no spare young array to recycle")
+		}
+		var batch []objmodel.ID
+		for n := int64(0); n < h.OldSize()+h.SurvivorSize(); n += 4096 {
+			id := reg.Alloc(4096, 0)
+			c.OnAlloc(id, 0)
+			batch = append(batch, id)
+		}
+		return h, reg, c, batch
+	}
+
+	_, reg, c, batch := build()
+	before := captureYoung(c, 0)
+	for attempt := 1; attempt <= 2; attempt++ {
+		if _, err := c.CollectMinor(0, 0); !errors.Is(err, heap.ErrOldGenFull) {
+			t.Fatalf("attempt %d: err = %v, want ErrOldGenFull", attempt, err)
+		}
+		if after := captureYoung(c, 0); !reflect.DeepEqual(after, before) {
+			t.Fatalf("attempt %d: young state changed by a failed minor collection", attempt)
+		}
+	}
+
+	// Free half the batch so the promotion fits, and retry against a twin
+	// world that never failed.
+	_, twinReg, twin, twinBatch := build()
+	for i := 0; i < len(batch); i += 2 {
+		reg.Kill(batch[i])
+		twinReg.Kill(twinBatch[i])
+	}
+	got, err := c.CollectMinor(0, 0)
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	want, err := twin.CollectMinor(0, 0)
+	if err != nil {
+		t.Fatalf("twin: %v", err)
+	}
+	if got != want {
+		t.Errorf("retry pause %+v, want %+v", got, want)
+	}
+	if a, b := captureYoung(c, 0), captureYoung(twin, 0); !reflect.DeepEqual(a, b) {
+		t.Error("young state after the retry differs from a collector that never failed")
+	}
+	if !reflect.DeepEqual(c.old, twin.old) {
+		t.Error("old generation after the retry differs from a collector that never failed")
+	}
+}
+
 func TestOldGenFullError(t *testing.T) {
 	h, reg, c := newWorld(1, 1)
 	// Fill old gen nearly to capacity via forced promotion, then check a
@@ -168,7 +260,7 @@ func TestOldGenFullError(t *testing.T) {
 	budget := h.OldSize() - h.OldSize()/16
 	var allocated int64
 	for allocated < budget {
-		id := reg.Alloc(objSize, 0, 0)
+		id := reg.Alloc(objSize, 0)
 		c.OnAlloc(id, 0)
 		allocated += int64(objSize)
 		// Tenure fast: age objects by repeated collection every batch.
@@ -183,7 +275,7 @@ func TestOldGenFullError(t *testing.T) {
 	// Now add another survivor-overflowing batch of live objects.
 	extra := h.SurvivorSize()*2/int64(objSize) + h.OldSize()/16/int64(objSize) + 2
 	for i := int64(0); i < extra; i++ {
-		id := reg.Alloc(objSize, 0, 0)
+		id := reg.Alloc(objSize, 0)
 		c.OnAlloc(id, 0)
 	}
 	_, err := c.CollectMinor(0, 0)
@@ -193,7 +285,7 @@ func TestOldGenFullError(t *testing.T) {
 	// After a full collection (everything is live, so this may itself be
 	// tight), dead space must be reclaimed. Kill everything and verify
 	// recovery.
-	reg.KillAllLive(0)
+	reg.KillAllLive()
 	if _, err := c.CollectFull(0); err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +302,10 @@ func TestPauseCostScalesWithSurvivors(t *testing.T) {
 	_, regB, cB := newWorld(64, 1)
 	// A: 1000 dead objects. B: 1000 live objects (more copying).
 	for i := 0; i < 1000; i++ {
-		idA := regA.Alloc(1024, 0, 0)
+		idA := regA.Alloc(1024, 0)
 		cA.OnAlloc(idA, 0)
-		regA.Kill(idA, 0)
-		idB := regB.Alloc(1024, 0, 0)
+		regA.Kill(idA)
+		idB := regB.Alloc(1024, 0)
 		cB.OnAlloc(idB, 0)
 	}
 	pA, err := cA.CollectMinor(0, 0)
@@ -236,7 +328,7 @@ func TestMoreWorkersShortenPauses(t *testing.T) {
 		reg := objmodel.NewRegistry(1024)
 		c := New(Config{Workers: workers}, h, reg)
 		for i := 0; i < 2000; i++ {
-			id := reg.Alloc(1024, 0, 0)
+			id := reg.Alloc(1024, 0)
 			c.OnAlloc(id, 0)
 		}
 		p, err := c.CollectMinor(0, 0)
@@ -259,9 +351,9 @@ func TestMoreWorkersShortenPauses(t *testing.T) {
 func TestCompartmentLocalCollection(t *testing.T) {
 	_, reg, c := newWorld(16, 4)
 	// Populate two compartments.
-	a := reg.Alloc(1024, 0, 0)
+	a := reg.Alloc(1024, 0)
 	c.OnAlloc(a, 0)
-	b := reg.Alloc(1024, 1, 0)
+	b := reg.Alloc(1024, 1)
 	c.OnAlloc(b, 1)
 	p, err := c.CollectMinor(0, 0)
 	if err != nil {
@@ -285,7 +377,7 @@ func TestCompartmentLocalCollection(t *testing.T) {
 func TestPauseBreakdown(t *testing.T) {
 	_, reg, c := newWorld(8, 1)
 	for i := 0; i < 500; i++ {
-		id := reg.Alloc(1024, 0, 0)
+		id := reg.Alloc(1024, 0)
 		c.OnAlloc(id, 0)
 	}
 	p, err := c.CollectMinor(0, 0)
@@ -313,7 +405,7 @@ func TestPauseBreakdown(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	_, reg, c := newWorld(8, 1)
 	for i := 0; i < 10; i++ {
-		id := reg.Alloc(256, 0, 0)
+		id := reg.Alloc(256, 0)
 		c.OnAlloc(id, 0)
 	}
 	c.CollectMinor(0, 0)
@@ -354,13 +446,13 @@ func TestLivenessPartitionProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 1: // allocate
-				id := reg.Alloc(int32(op%200)+1, 0, 0)
+				id := reg.Alloc(int32(op%200)+1, 0)
 				c.OnAlloc(id, 0)
 				live = append(live, id)
 			case 2: // kill one live object
 				if len(live) > 0 {
 					idx := int(op) % len(live)
-					reg.Kill(live[idx], 0)
+					reg.Kill(live[idx])
 					live = append(live[:idx], live[idx+1:]...)
 				}
 			case 3: // collect

@@ -181,7 +181,7 @@ func TestCopyFactorsScaleMinorCopyPhase(t *testing.T) {
 		c := New(Config{Workers: 8}, h, reg)
 		c.SetCopyFactors(factors)
 		for j := 0; j < 4096; j++ {
-			id := reg.Alloc(512, 0, 0)
+			id := reg.Alloc(512, 0)
 			c.OnAlloc(id, 0)
 		}
 		p, err := c.CollectMinor(0, 0)

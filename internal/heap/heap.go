@@ -65,8 +65,8 @@ func (c Config) Validate() error {
 	if c.MinHeap <= 0 {
 		return fmt.Errorf("heap: MinHeap = %d, need > 0", c.MinHeap)
 	}
-	if c.Factor < 1 {
-		return fmt.Errorf("heap: Factor = %v, need >= 1", c.Factor)
+	if err := ValidateFactor(c.Factor); err != nil {
+		return err
 	}
 	if c.NewRatio < 1 || c.SurvivorRatio < 1 {
 		return fmt.Errorf("heap: ratios must be >= 1")
@@ -76,6 +76,15 @@ func (c Config) Validate() error {
 	}
 	if c.Compartments < 1 {
 		return fmt.Errorf("heap: Compartments = %d, need >= 1", c.Compartments)
+	}
+	return nil
+}
+
+// ValidateFactor reports whether f can size a heap: a multiple of the
+// minimum heap below 1 cannot hold the workload.
+func ValidateFactor(f float64) error {
+	if f < 1 {
+		return fmt.Errorf("heap: Factor = %v, need >= 1", f)
 	}
 	return nil
 }

@@ -9,11 +9,7 @@
 // birth and at death; the difference is the lifespan in bytes.
 package objmodel
 
-import (
-	"fmt"
-
-	"javasim/internal/sim"
-)
+import "fmt"
 
 // ID names an object within one registry. IDs are dense, starting at 0.
 type ID uint32
@@ -39,9 +35,12 @@ func (g Generation) String() string {
 	return "old"
 }
 
-// Object is the per-object record. Records are stored by value inside the
-// registry; callers receive pointers that remain valid for the lifetime of
-// the registry (the backing store is append-only).
+// Object is the per-object record, 32 bytes. Records are stored by value
+// inside the registry's backing array. A pointer from Get stays valid only
+// while that array is not reallocated: the VM sizes the registry to an
+// upper bound on the run's allocations (see NewRegistry), so in a VM run
+// the array never moves. Callers of a registry that may outgrow its
+// capacity must re-Get after an Alloc.
 type Object struct {
 	// Size is the object's size in bytes, including header.
 	Size int32
@@ -52,9 +51,6 @@ type Object struct {
 	Birth int64
 	// Death is the allocation clock at death, or -1 while the object lives.
 	Death int64
-	// BirthTime and DeathTime are the virtual times of the same events.
-	BirthTime sim.Time
-	DeathTime sim.Time
 	// Age counts the minor collections this object has survived; it drives
 	// the tenuring decision.
 	Age uint8
@@ -92,17 +88,19 @@ type Registry struct {
 	diedBytes int64
 }
 
-// NewRegistry returns an empty registry with capacity hint n objects.
+// NewRegistry returns an empty registry with room for n objects. Allocating
+// beyond n reallocates the backing array (a copy of every record), so
+// callers that know an upper bound on their allocations pass it.
 func NewRegistry(n int) *Registry {
 	return &Registry{objects: make([]Object, 0, n)}
 }
 
-// Alloc records a new young object of the given size by thread at the
-// current virtual time and returns its ID. It advances the allocation
-// clock by size. The birth clock is sampled after the object's own bytes
-// are counted, so a lifespan measures only memory allocated to *other*
-// objects between creation and death — the paper's §II-A definition.
-func (r *Registry) Alloc(size int32, thread int32, now sim.Time) ID {
+// Alloc records a new young object of the given size by thread and
+// returns its ID. It advances the allocation clock by size. The birth
+// clock is sampled after the object's own bytes are counted, so a lifespan
+// measures only memory allocated to *other* objects between creation and
+// death — the paper's §II-A definition.
+func (r *Registry) Alloc(size int32, thread int32) ID {
 	if size <= 0 {
 		panic(fmt.Sprintf("objmodel: Alloc size %d", size))
 	}
@@ -110,12 +108,11 @@ func (r *Registry) Alloc(size int32, thread int32, now sim.Time) ID {
 	r.allocated++
 	r.allocatedBytes += int64(size)
 	r.objects = append(r.objects, Object{
-		Size:      size,
-		Thread:    thread,
-		Birth:     r.allocatedBytes,
-		Death:     -1,
-		BirthTime: now,
-		Gen:       Young,
+		Size:   size,
+		Thread: thread,
+		Birth:  r.allocatedBytes,
+		Death:  -1,
+		Gen:    Young,
 	})
 	r.liveCount++
 	r.liveBytes += int64(size)
@@ -125,22 +122,25 @@ func (r *Registry) Alloc(size int32, thread int32, now sim.Time) ID {
 // Kill marks an object dead at the current allocation clock. Killing an
 // already-dead object panics: the workload driver owns each object's single
 // death, and a double kill means lifespans would be corrupted.
-func (r *Registry) Kill(id ID, now sim.Time) {
+func (r *Registry) Kill(id ID) {
 	o := &r.objects[id]
 	if o.Death >= 0 {
 		panic(fmt.Sprintf("objmodel: double kill of object %d", id))
 	}
 	o.Death = r.allocatedBytes
-	o.DeathTime = now
 	r.liveCount--
 	r.liveBytes -= int64(o.Size)
 	r.diedCount++
 	r.diedBytes += int64(o.Size)
 }
 
-// Get returns the record for id. The pointer stays valid until the
-// registry is discarded but may describe a dead object.
+// Get returns the record for id. The pointer may describe a dead object,
+// and stays valid until an Alloc outgrows the registry's capacity.
 func (r *Registry) Get(id ID) *Object { return &r.objects[id] }
+
+// Cap returns how many objects the registry holds before an Alloc must
+// reallocate its backing array.
+func (r *Registry) Cap() int { return cap(r.objects) }
 
 // Clock returns the global allocation clock: total bytes ever allocated.
 func (r *Registry) Clock() int64 { return r.allocatedBytes }
@@ -160,10 +160,10 @@ func (r *Registry) DeadCount() int64 { return r.diedCount }
 // KillAllLive retires every live object at the current clock; the VM calls
 // it at program exit so that end-of-run objects contribute lifespans, as
 // Elephant Tracks does when the traced program terminates.
-func (r *Registry) KillAllLive(now sim.Time) {
+func (r *Registry) KillAllLive() {
 	for i := range r.objects {
 		if r.objects[i].Death < 0 {
-			r.Kill(ID(i), now)
+			r.Kill(ID(i))
 		}
 	}
 }

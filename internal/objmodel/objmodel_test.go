@@ -3,13 +3,39 @@ package objmodel
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// The record's size is the registry's per-object memory cost; a field
+// that pushes it past 32 bytes costs every run 50% more.
+func TestObjectIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 32 {
+		t.Errorf("sizeof(Object) = %d, want 32", got)
+	}
+}
+
+// Allocating up to the capacity NewRegistry was given never moves the
+// backing array, so Get pointers taken early stay valid.
+func TestAllocWithinCapacityKeepsPointers(t *testing.T) {
+	r := NewRegistry(64)
+	first := r.Get(r.Alloc(16, 0))
+	for r.Count() < 64 {
+		r.Alloc(16, 0)
+	}
+	if r.Cap() != 64 || r.Get(0) != first {
+		t.Errorf("backing array moved within capacity (cap %d)", r.Cap())
+	}
+	r.Alloc(16, 0)
+	if r.Cap() <= 64 {
+		t.Errorf("cap %d after outgrowing 64", r.Cap())
+	}
+}
 
 func TestAllocBasics(t *testing.T) {
 	r := NewRegistry(16)
-	id := r.Alloc(128, 3, 100)
+	id := r.Alloc(128, 3)
 	o := r.Get(id)
-	if o.Size != 128 || o.Thread != 3 || o.BirthTime != 100 {
+	if o.Size != 128 || o.Thread != 3 || o.Gen != Young || o.Age != 0 {
 		t.Errorf("object fields %+v", o)
 	}
 	if !o.Live() {
@@ -21,7 +47,7 @@ func TestAllocBasics(t *testing.T) {
 	if r.Clock() != 128 {
 		t.Errorf("clock = %d, want 128", r.Clock())
 	}
-	id2 := r.Alloc(64, 1, 200)
+	id2 := r.Alloc(64, 1)
 	if r.Get(id2).Birth != 192 {
 		t.Errorf("second object birth = %d, want 192", r.Get(id2).Birth)
 	}
@@ -33,14 +59,14 @@ func TestLifespanMetric(t *testing.T) {
 	// A (100B), then B (50B), then kill A — A's lifespan is exactly B's 50
 	// bytes. An object killed immediately has lifespan 0.
 	r := NewRegistry(4)
-	a := r.Alloc(100, 0, 0)
-	r.Alloc(50, 1, 10)
-	r.Kill(a, 20)
+	a := r.Alloc(100, 0)
+	r.Alloc(50, 1)
+	r.Kill(a)
 	if got := r.Get(a).Lifespan(); got != 50 {
 		t.Errorf("lifespan = %d, want 50 (B's bytes only)", got)
 	}
-	c := r.Alloc(32, 0, 30)
-	r.Kill(c, 30)
+	c := r.Alloc(32, 0)
+	r.Kill(c)
 	if got := r.Get(c).Lifespan(); got != 0 {
 		t.Errorf("immediate-death lifespan = %d, want 0", got)
 	}
@@ -48,19 +74,19 @@ func TestLifespanMetric(t *testing.T) {
 
 func TestKillAccounting(t *testing.T) {
 	r := NewRegistry(4)
-	a := r.Alloc(100, 0, 0)
-	b := r.Alloc(200, 0, 0)
+	a := r.Alloc(100, 0)
+	b := r.Alloc(200, 0)
 	if r.LiveCount() != 2 || r.LiveBytes() != 300 {
 		t.Fatalf("live %d/%d, want 2/300", r.LiveCount(), r.LiveBytes())
 	}
-	r.Kill(a, 5)
+	r.Kill(a)
 	if r.LiveCount() != 1 || r.LiveBytes() != 200 {
 		t.Errorf("after kill live %d/%d, want 1/200", r.LiveCount(), r.LiveBytes())
 	}
 	if r.DeadCount() != 1 {
 		t.Errorf("dead = %d, want 1", r.DeadCount())
 	}
-	r.Kill(b, 6)
+	r.Kill(b)
 	if r.LiveCount() != 0 || r.LiveBytes() != 0 {
 		t.Errorf("final live %d/%d, want 0/0", r.LiveCount(), r.LiveBytes())
 	}
@@ -68,14 +94,14 @@ func TestKillAccounting(t *testing.T) {
 
 func TestDoubleKillPanics(t *testing.T) {
 	r := NewRegistry(1)
-	id := r.Alloc(10, 0, 0)
-	r.Kill(id, 1)
+	id := r.Alloc(10, 0)
+	r.Kill(id)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double kill did not panic")
 		}
 	}()
-	r.Kill(id, 2)
+	r.Kill(id)
 }
 
 func TestZeroSizeAllocPanics(t *testing.T) {
@@ -84,12 +110,12 @@ func TestZeroSizeAllocPanics(t *testing.T) {
 			t.Fatal("zero-size alloc did not panic")
 		}
 	}()
-	NewRegistry(1).Alloc(0, 0, 0)
+	NewRegistry(1).Alloc(0, 0)
 }
 
 func TestLifespanOfLivePanics(t *testing.T) {
 	r := NewRegistry(1)
-	id := r.Alloc(10, 0, 0)
+	id := r.Alloc(10, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Lifespan of live object did not panic")
@@ -101,10 +127,10 @@ func TestLifespanOfLivePanics(t *testing.T) {
 func TestKillAllLive(t *testing.T) {
 	r := NewRegistry(8)
 	for i := 0; i < 5; i++ {
-		r.Alloc(100, 0, 0)
+		r.Alloc(100, 0)
 	}
-	r.Kill(2, 1)
-	r.KillAllLive(99)
+	r.Kill(2)
+	r.KillAllLive()
 	if r.LiveCount() != 0 {
 		t.Errorf("live after KillAllLive = %d", r.LiveCount())
 	}
@@ -113,15 +139,15 @@ func TestKillAllLive(t *testing.T) {
 			t.Errorf("object %d still live", id)
 		}
 	})
-	if r.Get(4).DeathTime != 99 {
-		t.Errorf("death time = %v, want 99", r.Get(4).DeathTime)
+	if r.Get(4).Death != r.Clock() {
+		t.Errorf("death clock = %d, want the final clock %d", r.Get(4).Death, r.Clock())
 	}
 }
 
 func TestForEachOrder(t *testing.T) {
 	r := NewRegistry(8)
 	for i := 1; i <= 5; i++ {
-		r.Alloc(int32(i*10), 0, 0)
+		r.Alloc(int32(i*10), 0)
 	}
 	var sizes []int32
 	r.ForEach(func(id ID, o *Object) { sizes = append(sizes, o.Size) })
@@ -147,12 +173,12 @@ func TestClockConservationProperty(t *testing.T) {
 		var sum int64
 		for _, s := range sizes {
 			size := int32(s%1000) + 1
-			ids = append(ids, r.Alloc(size, 0, 0))
+			ids = append(ids, r.Alloc(size, 0))
 			sum += int64(size)
 		}
 		for i, id := range ids {
 			if i < len(killMask) && killMask[i] {
-				r.Kill(id, 1)
+				r.Kill(id)
 			}
 		}
 		if r.Clock() != sum {
@@ -179,9 +205,9 @@ func TestLifespanNonNegativeProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		r := NewRegistry(len(sizes))
 		for _, s := range sizes {
-			r.Alloc(int32(s%512)+1, 0, 0)
+			r.Alloc(int32(s%512)+1, 0)
 		}
-		r.KillAllLive(1)
+		r.KillAllLive()
 		ok := true
 		var lastLifespan int64 = -1
 		r.ForEach(func(id ID, o *Object) {
@@ -207,10 +233,10 @@ func TestForEachLive(t *testing.T) {
 	r := NewRegistry(8)
 	var ids []ID
 	for i := 0; i < 6; i++ {
-		ids = append(ids, r.Alloc(64, 0, 0))
+		ids = append(ids, r.Alloc(64, 0))
 	}
-	r.Kill(ids[1], 0)
-	r.Kill(ids[4], 0)
+	r.Kill(ids[1])
+	r.Kill(ids[4])
 
 	var visited []ID
 	r.ForEachLive(func(id ID, o *Object) {
@@ -236,12 +262,12 @@ func TestForEachLive(t *testing.T) {
 func TestForEachLiveKillDuringIteration(t *testing.T) {
 	r := NewRegistry(8)
 	for i := 0; i < 5; i++ {
-		r.Alloc(32, 0, 0)
+		r.Alloc(32, 0)
 	}
 	n := 0
 	r.ForEachLive(func(id ID, o *Object) {
 		n++
-		r.Kill(id, 7)
+		r.Kill(id)
 	})
 	if n != 5 {
 		t.Errorf("visited %d objects, want 5", n)

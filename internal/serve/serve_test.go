@@ -400,6 +400,30 @@ func TestServeRejectsBadPlans(t *testing.T) {
 	}
 }
 
+// A plan whose heap factor cannot size a heap is refused at submission,
+// and the daemon keeps serving: the next valid plan runs to completion.
+func TestServeRejectsUnbuildableHeapFactor(t *testing.T) {
+	_, ts := newTestServer(t, Options{Engine: core.NewEngine()})
+	bad := `{"Scale": 0.02, "ThreadCounts": [2],
+		"Scenarios": [{"Name": "x", "Workload": "xalan", "Overrides": {"HeapFactor": 0.5}}]}`
+	resp, err := http.Post(ts.URL+"/v1/plans", "application/json", strings.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("HeapFactor 0.5: status %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(string(body), "heap: Factor = 0.5") {
+		t.Errorf("rejection does not carry the heap's validation error: %s", body)
+	}
+	j := submit(t, ts.URL, testPlan)
+	if _, done := consumeSSE(t, ts.URL, j.ID); done.State != StateDone {
+		t.Fatalf("valid plan after the rejection: state %q, want %q", done.State, StateDone)
+	}
+}
+
 // startPipeWorkers runs n RunWorker loops in-process over pipes and
 // returns a pool routed at them — the whole shard protocol without
 // processes.

@@ -173,20 +173,34 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 	}
 }
 
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials; the mean is (1-p)/p.
-func (r *Rand) Geometric(p float64) int {
+// Geometric is the distribution of the number of failures before the
+// first success in Bernoulli(p) trials; the mean is (1-p)/p. NewGeometric
+// computes log(1-p) once, so a draw pays one Log, not two. The zero value
+// is not a valid distribution.
+type Geometric struct {
+	logQ float64 // math.Log(1-p); -Inf when p == 1
+}
+
+// NewGeometric returns the geometric distribution with success
+// probability p.
+func NewGeometric(p float64) Geometric {
 	if p <= 0 || p > 1 {
 		panic("sim: Geometric needs 0 < p <= 1")
 	}
-	if p == 1 {
+	return Geometric{logQ: math.Log(1 - p)}
+}
+
+// Geometric draws from g by inversion. With p == 1 the first trial always
+// succeeds, so the draw is 0 and consumes no randomness.
+func (r *Rand) Geometric(g Geometric) int {
+	if math.IsInf(g.logQ, -1) {
 		return 0
 	}
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
+	return int(math.Floor(math.Log(u) / g.logQ))
 }
 
 // Zipf draws ranks in [0, n) following a Zipf distribution with exponent s.

@@ -168,7 +168,7 @@ func TestGeometricMean(t *testing.T) {
 	sum := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		sum += r.Geometric(p)
+		sum += r.Geometric(NewGeometric(p))
 	}
 	mean := float64(sum) / n
 	want := (1 - p) / p // 3.0
@@ -180,7 +180,7 @@ func TestGeometricMean(t *testing.T) {
 func TestGeometricEdge(t *testing.T) {
 	r := NewRand(14)
 	for i := 0; i < 100; i++ {
-		if v := r.Geometric(1); v != 0 {
+		if v := r.Geometric(NewGeometric(1)); v != 0 {
 			t.Fatalf("Geometric(1) = %d, want 0", v)
 		}
 	}

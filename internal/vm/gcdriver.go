@@ -98,7 +98,7 @@ func (v *vm) billGCCopy(bytes int64) sim.Time {
 // which reserves a whole run of TLAB allocations up front.
 func (v *vm) commitAlloc(m *mutator, op *workload.Op, pretenure bool) {
 	now := v.sim.Now()
-	id := v.reg.Alloc(op.Size, int32(m.idx), now)
+	id := v.reg.Alloc(op.Size, int32(m.idx))
 	if v.pret.enabled {
 		v.pret.recordAlloc(id, op.Site)
 	}

@@ -622,7 +622,7 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 		Compartments:  cfg.Compartments,
 	})
 
-	reg := objmodel.NewRegistry(int(spec.TotalAllocBytes() / int64(max(spec.ObjSizeMeanB, 16))))
+	reg := objmodel.NewRegistry(registryCapacity(spec, cfg, arrivalProc != nil))
 	collector := gc.NewWithPolicy(gcPolicy, cfg.GC, hp, reg)
 	if layout.HomeSockets != nil {
 		collector.SetCopyFactors(numaCopyFactors(mach, spanned, layout))
@@ -690,8 +690,33 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 		return nil, fmt.Errorf("vm: %s run stalled — simulation drained with %d mutators unfinished",
 			spec.Name, v.aliveCount)
 	}
+	if registryObserver != nil {
+		registryObserver(reg)
+	}
 	return v.result(), nil
 }
+
+// registryCapacity bounds the objects a run can allocate: the units it
+// executes times the most one unit can allocate. A closed run executes
+// TotalUnits per iteration; an open run at most one unit per offered
+// request. Sizing the registry to the bound means its backing array is
+// allocated once and never copied.
+func registryCapacity(spec workload.Spec, cfg Config, open bool) int {
+	units := spec.TotalUnits * cfg.Iterations
+	if open {
+		units = cfg.Traffic.Requests
+		if units == 0 {
+			units = spec.TotalUnits
+		}
+	}
+	return units * spec.MaxAllocsPerUnit()
+}
+
+// registryObserver, when non-nil, is handed each completed run's object
+// registry — a test hook (mirroring snapshotObserver) so tests can prove
+// the registry never outgrew its pre-sized capacity. Never set outside
+// tests.
+var registryObserver func(*objmodel.Registry)
 
 func (v *vm) setupLocks() {
 	if v.spec.Distribution == workload.Queue {
@@ -804,7 +829,7 @@ func (v *vm) emitTrace(ev trace.Event) {
 // feeds the lifespan histogram, and emits the trace event.
 func (v *vm) kill(id objmodel.ID) {
 	now := v.sim.Now()
-	v.reg.Kill(id, now)
+	v.reg.Kill(id)
 	o := v.reg.Get(id)
 	v.lifespans.Add(o.Lifespan())
 	if v.pret.enabled {

@@ -256,6 +256,21 @@ func (s *Spec) TotalAllocBytes() int64 {
 	return int64(s.TotalUnits) * int64(s.AllocsPerUnit) * int64(s.ObjSizeMeanB)
 }
 
+// allocRange returns the range a unit's allocation count is drawn from:
+// lo + Intn(span+1), a mild ±25% variation around AllocsPerUnit. lo is at
+// least 1 whenever AllocsPerUnit is.
+func (s *Spec) allocRange() (lo, span int) {
+	span = s.AllocsPerUnit / 2
+	return s.AllocsPerUnit - span/2, span
+}
+
+// MaxAllocsPerUnit returns the most objects one generated unit can
+// allocate — the per-unit factor of an upper bound on a run's objects.
+func (s *Spec) MaxAllocsPerUnit() int {
+	lo, span := s.allocRange()
+	return lo + span
+}
+
 // Scale returns a copy with TotalUnits (and Phases, proportionally)
 // multiplied by f — used to shrink runs for tests and benchmarks. The
 // behavioral parameters are untouched.
@@ -327,6 +342,10 @@ type Run struct {
 	unitSigma float64
 	sizeMu    float64
 	sizeSigma float64
+	// Death-distance distributions, hoisted likewise: each carries its
+	// log(1-p), so a draw pays one Log.
+	intraGeom sim.Geometric
+	crossGeom sim.Geometric
 
 	queueLeft  int   // Queue distribution: shared pool
 	staticLeft []int // static distributions: per-thread pools
@@ -376,6 +395,16 @@ func NewRun(spec Spec, threads int, seed uint64) (*Run, error) {
 	if spec.ObjSizeMeanB > 0 {
 		r.sizeMu = math.Log(float64(spec.ObjSizeMeanB)) - r.sizeSigma*r.sizeSigma/2
 	}
+	intraMean := spec.IntraBurstMeanN
+	if intraMean <= 0 {
+		intraMean = 3
+	}
+	r.intraGeom = sim.NewGeometric(1 / (1 + intraMean))
+	crossMean := spec.CrossUnitMeanDist
+	if crossMean <= 0 {
+		crossMean = 2
+	}
+	r.crossGeom = sim.NewGeometric(1 / (1 + crossMean))
 	if spec.Distribution == Queue {
 		r.queueLeft = spec.TotalUnits
 	} else {
@@ -518,16 +547,9 @@ func (r *Run) generate(tid int) Unit {
 		total = sim.Time(r.unitMean / 8)
 	}
 
-	allocs := s.AllocsPerUnit
-	if allocs > 0 {
-		// Mild per-unit variation: ±25%.
-		span := allocs / 2
-		if span > 0 {
-			allocs = allocs - span/2 + rng.Intn(span+1)
-		}
-		if allocs < 1 {
-			allocs = 1
-		}
+	allocs, span := s.allocRange()
+	if span > 0 {
+		allocs += rng.Intn(span + 1)
 	}
 	gapTotal := sim.Time(allocs) * s.AllocGap
 	computeBudget := total - gapTotal
@@ -618,21 +640,13 @@ func (r *Run) sampleDeath() DeathSpec {
 	u := r.rng.Float64()
 	switch {
 	case u < s.FracIntraBurst:
-		mean := s.IntraBurstMeanN
-		if mean <= 0 {
-			mean = 3
-		}
-		n := 1 + r.rng.Geometric(1/(1+mean))
+		n := 1 + r.rng.Geometric(r.intraGeom)
 		if n > 12 {
 			n = 12
 		}
 		return DeathSpec{Mode: DieAfterOwnAllocs, N: int32(n)}
 	case u < s.FracIntraBurst+s.FracCrossUnit:
-		mean := s.CrossUnitMeanDist
-		if mean <= 0 {
-			mean = 2
-		}
-		n := 1 + r.rng.Geometric(1/(1+mean))
+		n := 1 + r.rng.Geometric(r.crossGeom)
 		if n > 48 {
 			n = 48
 		}

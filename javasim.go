@@ -28,7 +28,7 @@
 //			log.Println(ev)
 //		})),
 //	)
-//	spec, _ := javasim.BenchmarkByName("xalan")
+//	spec, _ := javasim.LookupWorkload("xalan")
 //	res, err := eng.Run(ctx, spec, javasim.Config{Threads: 8, Seed: 42})
 //	if err != nil { ... }
 //	fmt.Println(res.TotalTime, res.GCTime, res.Lifespans.FractionBelow(1024))
