@@ -82,3 +82,25 @@ func BenchmarkRandLogNormal(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkRandNormFloat64 measures the normal draw under LogNormal.
+func BenchmarkRandNormFloat64(b *testing.B) {
+	r := NewRand(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += r.NormFloat64()
+	}
+	_ = sink
+}
+
+// BenchmarkRandGeometric measures a death-distance draw at the paper
+// workloads' commonest p.
+func BenchmarkRandGeometric(b *testing.B) {
+	r := NewRand(1)
+	g := NewGeometric(1.0 / 3)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += r.Geometric(g)
+	}
+	_ = sink
+}

@@ -175,32 +175,93 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 
 // Geometric is the distribution of the number of failures before the
 // first success in Bernoulli(p) trials; the mean is (1-p)/p. NewGeometric
-// computes log(1-p) once, so a draw pays one Log, not two. The zero value
-// is not a valid distribution.
+// tabulates where inversion, floor(log(u)/log(1-p)), steps on the 2^-53
+// grid Float64 draws from, so a draw is one Uint64, a table lookup and a
+// short scan with no Log, yet equals inversion on every draw. The zero
+// value is not a valid distribution.
 type Geometric struct {
-	logQ float64 // math.Log(1-p); -Inf when p == 1
+	// step[k] is the least 53-bit draw v with inv(v) <= k, about
+	// (1-p)^(k+1) * 2^53: a draw exceeds k exactly when v < step[k].
+	step []uint64
+	// start[b] is the draw at the top of slice b of [0, 2^53) cut into
+	// geometricSlices equal slices, where the scan for a v in slice b
+	// begins.
+	start []uint16
+	logQ  float64 // math.Log(1-p); -Inf when p == 1
 }
 
+const (
+	// maxGeometricTable bounds the table for tiny p; a draw past its end
+	// falls back to inversion.
+	maxGeometricTable  = 256
+	geometricSliceBits = 8
+)
+
 // NewGeometric returns the geometric distribution with success
-// probability p.
+// probability p. The table stops at the first step at or below 2^-53,
+// the least nonzero Float64 draw, or at maxGeometricTable entries.
 func NewGeometric(p float64) Geometric {
 	if p <= 0 || p > 1 {
 		panic("sim: Geometric needs 0 < p <= 1")
 	}
-	return Geometric{logQ: math.Log(1 - p)}
+	g := Geometric{logQ: math.Log(1 - p)}
+	if math.IsInf(g.logQ, -1) {
+		return g
+	}
+	// Start from est = (1-p)^(k+1) on the grid, then walk to inversion's
+	// exact step: the least v with inv(v) <= k. With p below 2^-53,
+	// 1-p rounds to 1 and there are no steps.
+	inv := func(v uint64) int { return int(math.Floor(math.Log(float64(v)/(1<<53)) / g.logQ)) }
+	est := 1.0
+	for k := 0; k < maxGeometricTable && g.logQ < 0; k++ {
+		est *= 1 - p
+		v := max(uint64(est*(1<<53)), 1)
+		for inv(v) > k {
+			v++
+		}
+		for v > 1 && inv(v-1) <= k {
+			v--
+		}
+		if v <= 1 {
+			break
+		}
+		g.step = append(g.step, v)
+	}
+	g.start = make([]uint16, 1<<geometricSliceBits)
+	n := 0
+	for b := len(g.start) - 1; b >= 0; b-- {
+		top := uint64(b+1)<<(53-geometricSliceBits) - 1
+		for n < len(g.step) && top < g.step[n] {
+			n++
+		}
+		g.start[b] = uint16(n)
+	}
+	return g
 }
 
-// Geometric draws from g by inversion. With p == 1 the first trial always
-// succeeds, so the draw is 0 and consumes no randomness.
+// Geometric draws from g. With p == 1 the first trial always succeeds,
+// so the draw is 0 and consumes no randomness.
 func (r *Rand) Geometric(g Geometric) int {
 	if math.IsInf(g.logQ, -1) {
 		return 0
 	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
+	// v/2^53 is exactly the value Float64 would return.
+	v := r.Uint64() >> 11
+	for v == 0 {
+		v = r.Uint64() >> 11
 	}
-	return int(math.Floor(math.Log(u) / g.logQ))
+	return g.at(v)
+}
+
+// at maps a 53-bit draw v > 0 to its variate.
+func (g Geometric) at(v uint64) int {
+	n := int(g.start[v>>(53-geometricSliceBits)])
+	for ; n < len(g.step); n++ {
+		if v >= g.step[n] {
+			return n
+		}
+	}
+	return int(math.Floor(math.Log(float64(v)/(1<<53)) / g.logQ))
 }
 
 // Zipf draws ranks in [0, n) following a Zipf distribution with exponent s.

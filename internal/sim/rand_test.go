@@ -186,6 +186,48 @@ func TestGeometricEdge(t *testing.T) {
 	}
 }
 
+// TestGeometricMatchesInversion pins the table draw to the inversion
+// formula it replaces, floor(log(u)/log(1-p)): over a stream of draws and
+// on the Float64 grid points either side of every table step, where a
+// rounding slip would show first.
+func TestGeometricMatchesInversion(t *testing.T) {
+	for _, p := range []float64{0.25, 1.0 / 3, 0.5, 0.9} {
+		g := NewGeometric(p)
+		logQ := math.Log(1 - p)
+		check := func(v uint64) {
+			t.Helper()
+			u := float64(v) / (1 << 53)
+			want := int(math.Floor(math.Log(u) / logQ))
+			if got := g.at(v); got != want {
+				t.Fatalf("p=%v u=%v: table draw %d, inversion %d", p, u, got, want)
+			}
+		}
+		if len(g.step) == 0 {
+			t.Fatalf("p=%v: empty table", p)
+		}
+		for _, st := range g.step {
+			for _, v := range []uint64{st - 2, st - 1, st, st + 1} {
+				if v > 0 && v < 1<<53 {
+					check(v)
+				}
+			}
+		}
+		check(1)
+		check(1<<53 - 1)
+		a, b := NewRand(17), NewRand(17)
+		for i := 0; i < 1000000; i++ {
+			got := a.Geometric(g)
+			u := b.Float64()
+			for u == 0 {
+				u = b.Float64()
+			}
+			if want := int(math.Floor(math.Log(u) / logQ)); got != want {
+				t.Fatalf("p=%v draw %d: table %d, inversion %d (u=%v)", p, i, got, want, u)
+			}
+		}
+	}
+}
+
 func TestBoolProbability(t *testing.T) {
 	r := NewRand(15)
 	count := 0

@@ -343,7 +343,7 @@ type Run struct {
 	sizeMu    float64
 	sizeSigma float64
 	// Death-distance distributions, hoisted likewise: each carries its
-	// log(1-p), so a draw pays one Log.
+	// inversion table, so a draw pays no Log.
 	intraGeom sim.Geometric
 	crossGeom sim.Geometric
 
