@@ -251,7 +251,6 @@ type Collector struct {
 
 	stats     Stats
 	pauses    []Pause
-	pauseHist *metrics.Histogram
 	onPromote func(objmodel.ID)
 }
 
@@ -280,7 +279,6 @@ func NewWithPolicy(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *
 		young:     make([][]objmodel.ID, h.Compartments()),
 		spare:     make([][]objmodel.ID, h.Compartments()),
 		survBytes: make([]int64, h.Compartments()),
-		pauseHist: metrics.NewHistogram("gc-pause-ns"),
 	}
 }
 
@@ -309,7 +307,13 @@ func (c *Collector) Stats() Stats { return c.stats }
 func (c *Collector) Pauses() []Pause { return c.pauses }
 
 // PauseHistogram returns the distribution of pause durations (ns).
-func (c *Collector) PauseHistogram() *metrics.Histogram { return c.pauseHist }
+func (c *Collector) PauseHistogram() *metrics.Histogram {
+	h := metrics.NewHistogram("gc-pause-ns")
+	for _, p := range c.pauses {
+		h.Add(int64(p.Duration))
+	}
+	return h
+}
 
 // OnAlloc registers a freshly allocated object with its compartment's
 // young generation. The VM calls this for every allocation.
@@ -507,18 +511,37 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 
 func (c *Collector) record(p Pause) {
 	c.pauses = append(c.pauses, p)
-	c.pauseHist.Add(int64(p.Duration))
 	switch p.Kind {
 	case Minor:
 		c.stats.MinorCount++
-		c.stats.MinorTime += p.Duration
 	case Full:
 		c.stats.FullCount++
-		c.stats.FullTime += p.Duration
-	case InitialMark, Remark:
-		c.stats.ConcPauseTime += p.Duration
 	}
+	c.addTime(p.Kind, p.Duration)
 	c.stats.PromotedBytes += p.PromotedBytes
 	c.stats.CopiedBytes += p.CopiedBytes
 	c.stats.ReclaimedB += p.ReclaimedB
+}
+
+func (c *Collector) addTime(k Kind, d sim.Time) {
+	switch k {
+	case Minor:
+		c.stats.MinorTime += d
+	case Full:
+		c.stats.FullTime += d
+	case InitialMark, Remark:
+		c.stats.ConcPauseTime += d
+	}
+}
+
+// ExtendCopy lengthens the latest pause's Copy phase by d and returns the
+// extended pause. Bandwidth-limited machines use it to bill the memory
+// channel backlog that a collection's copy traffic leaves, so that the
+// record, the stats and the pause the world observed agree.
+func (c *Collector) ExtendCopy(d sim.Time) Pause {
+	p := &c.pauses[len(c.pauses)-1]
+	p.Phases.Copy += d
+	p.Duration += d
+	c.addTime(p.Kind, d)
+	return *p
 }

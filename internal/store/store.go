@@ -41,10 +41,12 @@ import (
 )
 
 // Version stamps every entry with the result-schema generation. Bump it
-// when vm.Result changes shape incompatibly: old entries then read as
-// misses and are lazily replaced by re-simulation, instead of decoding
-// into half-filled structs.
-const Version = 2
+// when vm.Result changes shape incompatibly, and also when the same
+// config's result changes: a new random stream, or a model fix that
+// moves any field. Old entries then read as misses and are lazily
+// replaced by re-simulation, instead of decoding into half-filled
+// structs or serving stale results.
+const Version = 3
 
 // entryExt is the on-disk entry suffix.
 const entryExt = ".json"

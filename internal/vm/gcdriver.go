@@ -268,16 +268,20 @@ func (v *vm) maybeStartGC() {
 		v.fail(fmt.Errorf("vm: %s minor collection failed: %w", v.spec.Name, err))
 		return
 	}
+	copied += pause.CopiedBytes + pause.PromotedBytes
+	// Evacuation and promotion move bytes through the memory channels; on
+	// bandwidth-limited machines the backlog extends the pause. The stretch
+	// is billed to the Copy phase of the minor pause, which ends this
+	// stop's collections.
+	if stretch := v.billGCCopy(copied); stretch > 0 {
+		pause = v.gc.ExtendCopy(stretch)
+	}
 	v.emitGCTrace(gc.Minor, now, pause.Duration)
 	total += pause.Duration
-	copied += pause.CopiedBytes + pause.PromotedBytes
 	if v.cfg.GC.Concurrent {
 		v.cmsMaybeTrigger()
 		total += v.cmsOnMinorPause(now)
 	}
-	// Evacuation and promotion move bytes through the memory channels; on
-	// bandwidth-limited machines the backlog extends the pause.
-	total += v.billGCCopy(copied)
 
 	ttsp := now - v.stwStart
 	v.safepointTime += ttsp

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"javasim/internal/gc"
 	"javasim/internal/machine"
+	"javasim/internal/sim"
 	"javasim/internal/workload"
 )
 
@@ -135,5 +137,46 @@ func TestPipelineSharingSlowsOversubscribedCores(t *testing.T) {
 	if shared.TotalTime <= free.TotalTime {
 		t.Errorf("3 strands on a 2-wide pipeline should be slower: shared=%v wide=%v",
 			shared.TotalTime, free.TotalTime)
+	}
+}
+
+// TestGCPauseAccounting checks that the pause records carry all the
+// stop-the-world time: on every machine model and GC policy, the pauses
+// plus time-to-safepoint add up to GCTime, and the phase split, the
+// collector's stats and the pause records agree. Bandwidth-limited
+// models stretch pauses by the copy traffic's backlog; the stretch must
+// land in the record, not only in GCTime.
+func TestGCPauseAccounting(t *testing.T) {
+	specs := []workload.Spec{smallSpec(), workload.H2Spec().Scale(0.05)}
+	for _, mdl := range machine.ModelNames() {
+		for _, policy := range gc.PolicyNames() {
+			for _, spec := range specs {
+				for _, threads := range []int{8, 48} {
+					cfg := Config{Threads: threads, Seed: 3, HeapFactor: 1.6, MachineName: mdl, GCPolicy: policy}
+					res, err := Run(spec, cfg)
+					if err != nil {
+						t.Fatalf("%s/%s/%s/%d: %v", mdl, policy, spec.Name, threads, err)
+					}
+					var pauses sim.Time
+					for _, p := range res.GCPauses {
+						pauses += p.Duration
+						if p.Phases.Total() != p.Duration {
+							t.Errorf("%s/%s/%s/%d: %v pause of %v has phases summing to %v",
+								mdl, policy, spec.Name, threads, p.Kind, p.Duration, p.Phases.Total())
+						}
+					}
+					if pauses+res.SafepointTime != res.GCTime {
+						t.Errorf("%s/%s/%s/%d: pauses %v + safepoint %v != GCTime %v",
+							mdl, policy, spec.Name, threads, pauses, res.SafepointTime, res.GCTime)
+					}
+					if got := res.GCPhases.Total(); got != pauses {
+						t.Errorf("%s/%s/%s/%d: GCPhases total %v != pauses %v", mdl, policy, spec.Name, threads, got, pauses)
+					}
+					if got := res.GCStats.TotalTime(); got != pauses {
+						t.Errorf("%s/%s/%s/%d: GCStats time %v != pauses %v", mdl, policy, spec.Name, threads, got, pauses)
+					}
+				}
+			}
+		}
 	}
 }
