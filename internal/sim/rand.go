@@ -143,21 +143,8 @@ func (r *Rand) ExpFloat64() float64 {
 // Exp returns an exponentially distributed value with the given mean.
 func (r *Rand) Exp(mean float64) float64 { return mean * r.ExpFloat64() }
 
-// NormFloat64 returns a standard normal value via the Marsaglia polar
-// method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // LogNormal returns a log-normal value where the underlying normal has the
-// given mu and sigma.
+// given mu and sigma. The normal draw is the ziggurat in normal.go.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }

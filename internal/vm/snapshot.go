@@ -16,9 +16,10 @@ import (
 // results. What IS invariant is the workload generation stream: unit k
 // of a run is a pure function of (spec, seed, k), because generation
 // ignores which thread draws (see workload.Run). Profiling shows that
-// stream — the lognormal/Zipf draw tower in workload.generate — is the
-// single largest CPU component of a run, i.e. the per-point "warmup"
-// that every sweep point used to repeat.
+// stream, workload.generate, is still the single largest CPU component
+// of a run (~30% of BenchmarkVMRun on a 2-vCPU Xeon VM, ~43% before the
+// ziggurat normal), i.e. the per-point "warmup" that every sweep point
+// used to repeat.
 //
 // A Snapshot therefore captures, once per (spec, config-minus-threads):
 // the full pre-generated unit tape per iteration plus the end-of-tape

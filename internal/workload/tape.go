@@ -10,7 +10,9 @@ import "javasim/internal/sim"
 // pure function of (spec, seed, k) at every thread count and offered
 // rate. A tape captures that sequence once; every sweep point then
 // replays it instead of re-deriving the same lognormal/Zipf draws, which
-// profiling shows is the single largest CPU component of a run. What a
+// profiling shows is still the single largest CPU component of a run
+// (~30% of BenchmarkVMRun on a 2-vCPU Xeon VM, ~43% before the ziggurat
+// normal). What a
 // tape deliberately does NOT capture is simulated VM state (heap, TLABs,
 // scheduler, pending events): those diverge between sweep points from
 // the first event on, so any "fork" of them would not be bit-identical
