@@ -199,6 +199,10 @@ func NewGeometric(p float64) Geometric {
 	// exact step: the least v with inv(v) <= k. With p below 2^-53,
 	// 1-p rounds to 1 and there are no steps.
 	inv := func(v uint64) int { return int(math.Floor(math.Log(float64(v)/(1<<53)) / g.logQ)) }
+	if g.logQ < 0 {
+		// About log(2^-53)/log(1-p) steps lie above the least draw.
+		g.step = make([]uint64, 0, int(min(maxGeometricTable, 53*math.Ln2/-g.logQ+1)))
+	}
 	est := 1.0
 	for k := 0; k < maxGeometricTable && g.logQ < 0; k++ {
 		est *= 1 - p
