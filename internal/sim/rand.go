@@ -167,12 +167,13 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 // short scan with no Log, yet equals inversion on every draw. The zero
 // value is not a valid distribution.
 type Geometric struct {
-	// step[k] is the least 53-bit draw v with inv(v) <= k, about
-	// (1-p)^(k+1) * 2^53: a draw exceeds k exactly when v < step[k].
+	// step[k] is the least 53-bit draw v whose inversion,
+	// floor(log(v/2^53)/log(1-p)), is at most k; it is about
+	// (1-p)^(k+1) * 2^53. A draw exceeds k exactly when v < step[k].
 	step []uint64
 	// start[b] is the draw at the top of slice b of [0, 2^53) cut into
-	// geometricSlices equal slices, where the scan for a v in slice b
-	// begins.
+	// 2^geometricSliceBits equal slices: where the scan for a v in slice
+	// b begins.
 	start []uint16
 	logQ  float64 // math.Log(1-p); -Inf when p == 1
 }
@@ -191,20 +192,17 @@ func NewGeometric(p float64) Geometric {
 	if p <= 0 || p > 1 {
 		panic("sim: Geometric needs 0 < p <= 1")
 	}
-	g := Geometric{logQ: math.Log(1 - p)}
-	if math.IsInf(g.logQ, -1) {
-		return g
+	g := Geometric{logQ: math.Log(1 - p), start: make([]uint16, 1<<geometricSliceBits)}
+	if g.logQ == 0 || math.IsInf(g.logQ, -1) {
+		return g // p below 2^-53, where 1-p rounds to 1, or p == 1: no steps
 	}
 	// Start from est = (1-p)^(k+1) on the grid, then walk to inversion's
-	// exact step: the least v with inv(v) <= k. With p below 2^-53,
-	// 1-p rounds to 1 and there are no steps.
+	// exact step: the least v with inv(v) <= k. About log(2^-53)/log(1-p)
+	// steps lie above the least draw.
 	inv := func(v uint64) int { return int(math.Floor(math.Log(float64(v)/(1<<53)) / g.logQ)) }
-	if g.logQ < 0 {
-		// About log(2^-53)/log(1-p) steps lie above the least draw.
-		g.step = make([]uint64, 0, int(min(maxGeometricTable, 53*math.Ln2/-g.logQ+1)))
-	}
+	g.step = make([]uint64, 0, int(min(maxGeometricTable, 53*math.Ln2/-g.logQ+1)))
 	est := 1.0
-	for k := 0; k < maxGeometricTable && g.logQ < 0; k++ {
+	for k := 0; k < maxGeometricTable; k++ {
 		est *= 1 - p
 		v := max(uint64(est*(1<<53)), 1)
 		for inv(v) > k {
@@ -218,7 +216,6 @@ func NewGeometric(p float64) Geometric {
 		}
 		g.step = append(g.step, v)
 	}
-	g.start = make([]uint16, 1<<geometricSliceBits)
 	n := 0
 	for b := len(g.start) - 1; b >= 0; b-- {
 		top := uint64(b+1)<<(53-geometricSliceBits) - 1

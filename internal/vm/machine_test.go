@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -153,27 +154,26 @@ func TestGCPauseAccounting(t *testing.T) {
 			for _, spec := range specs {
 				for _, threads := range []int{8, 48} {
 					cfg := Config{Threads: threads, Seed: 3, HeapFactor: 1.6, MachineName: mdl, GCPolicy: policy}
+					id := fmt.Sprintf("%s/%s/%s/%d", mdl, policy, spec.Name, threads)
 					res, err := Run(spec, cfg)
 					if err != nil {
-						t.Fatalf("%s/%s/%s/%d: %v", mdl, policy, spec.Name, threads, err)
+						t.Fatalf("%s: %v", id, err)
 					}
 					var pauses sim.Time
 					for _, p := range res.GCPauses {
 						pauses += p.Duration
 						if p.Phases.Total() != p.Duration {
-							t.Errorf("%s/%s/%s/%d: %v pause of %v has phases summing to %v",
-								mdl, policy, spec.Name, threads, p.Kind, p.Duration, p.Phases.Total())
+							t.Errorf("%s: %v pause of %v has phases summing to %v", id, p.Kind, p.Duration, p.Phases.Total())
 						}
 					}
 					if pauses+res.SafepointTime != res.GCTime {
-						t.Errorf("%s/%s/%s/%d: pauses %v + safepoint %v != GCTime %v",
-							mdl, policy, spec.Name, threads, pauses, res.SafepointTime, res.GCTime)
+						t.Errorf("%s: pauses %v + safepoint %v != GCTime %v", id, pauses, res.SafepointTime, res.GCTime)
 					}
 					if got := res.GCPhases.Total(); got != pauses {
-						t.Errorf("%s/%s/%s/%d: GCPhases total %v != pauses %v", mdl, policy, spec.Name, threads, got, pauses)
+						t.Errorf("%s: GCPhases total %v != pauses %v", id, got, pauses)
 					}
 					if got := res.GCStats.TotalTime(); got != pauses {
-						t.Errorf("%s/%s/%s/%d: GCStats time %v != pauses %v", mdl, policy, spec.Name, threads, got, pauses)
+						t.Errorf("%s: GCStats time %v != pauses %v", id, got, pauses)
 					}
 				}
 			}
