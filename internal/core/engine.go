@@ -48,7 +48,9 @@ type Option func(*Engine)
 // WithParallelism bounds the number of simulations the engine executes
 // concurrently. Values below 1 are clamped to 1; the default is
 // runtime.GOMAXPROCS(0). Sweeps and suites never spawn more simulation
-// goroutines than this bound.
+// goroutines than this bound. The bound counts simulations, not cores:
+// one simulation may use a second core for its unit stream (see
+// workload.Run.Prefetch).
 func WithParallelism(n int) Option {
 	return func(e *Engine) { e.parallelism = n }
 }

@@ -60,6 +60,7 @@ func (v *vm) startNextIteration() {
 	}
 
 	// Accumulate per-thread work before discarding the drained run.
+	v.run.StopPrefetch()
 	for i, u := range v.run.UnitsTaken() {
 		v.unitsAccum[i] += u
 	}
@@ -76,6 +77,7 @@ func (v *vm) startNextIteration() {
 		run.AttachTape(v.snap.tapes[v.iteration])
 	}
 	v.run = run
+	v.startPrefetch()
 	v.currentPhase = 0
 	v.barArrived = 0
 

@@ -2,7 +2,9 @@ package vm
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"javasim/internal/workload"
 )
@@ -40,6 +42,33 @@ import (
 // tests can prove the warm path actually engaged. Never set outside
 // tests.
 var snapshotObserver func()
+
+// prefetchObserver, when non-nil, is called once per workload run whose
+// units a producer goroutine draws ahead — a test hook (mirroring
+// snapshotObserver) so differential tests can prove prefetch engaged.
+// Never set outside tests.
+var prefetchObserver func()
+
+// simulations counts the simulations executing in this process; see
+// startPrefetch.
+var simulations atomic.Int32
+
+// startPrefetch moves v.run's unit generation onto a producer goroutine
+// (workload.Run.Prefetch) when the run is closed-system, generates live
+// (no tape attached, which Prefetch checks itself) and the process has a
+// core to give it: fewer simulations run than GOMAXPROCS. When running
+// simulations already fill every core, a producer would only add
+// hand-offs. Prefetched units equal inline ones draw for draw, so this is
+// invisible in results; Config.DisableSnapshot keeps generation inline
+// for differential testing.
+func (v *vm) startPrefetch() {
+	if v.cfg.DisableSnapshot || v.openSt != nil || int(simulations.Load()) >= runtime.GOMAXPROCS(0) {
+		return
+	}
+	if v.run.Prefetch() && prefetchObserver != nil {
+		prefetchObserver()
+	}
+}
 
 // Snapshot is the reusable warm-start state for one sweep: one workload
 // tape per iteration. It is immutable after construction and safe to

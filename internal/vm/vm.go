@@ -106,13 +106,13 @@ type Config struct {
 	// tuning. Fusion also disables itself when a TraceSink is attached,
 	// keeping per-op trace timestamps exact.
 	DisableFusion bool
-	// DisableSnapshot turns off warm-start snapshot consumption: a run
-	// finding a Snapshot on its context (see ContextWithSnapshot) ignores
-	// it and regenerates its workload units live. Snapshot replay applies
-	// only when provably invisible — a tape's unit k equals the k-th
-	// live-generated unit, draw for draw — so results are bit-identical
-	// either way; like DisableFusion, the switch exists for differential
-	// testing and diagnosis, not tuning.
+	// DisableSnapshot generates workload units inline on the simulation
+	// goroutine: a run ignores any Snapshot on its context (see
+	// ContextWithSnapshot) and starts no prefetch producer (see
+	// workload.Run.Prefetch). Tape replay and prefetch both hand out the
+	// k-th live-generated unit draw for draw, so results are
+	// bit-identical either way; like DisableFusion, the switch exists for
+	// differential testing and diagnosis, not tuning.
 	DisableSnapshot bool
 	// HelperPeriod and HelperBurst shape the JVM background threads (JIT
 	// compiler, profiler): every period each helper computes for burst.
@@ -678,6 +678,13 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 			s.Stop()
 		}
 	})
+
+	// Every exit — a finished run, a failure, cancellation, the guard or
+	// a panic — stops the current iteration's producer, if any.
+	simulations.Add(1)
+	defer simulations.Add(-1)
+	v.startPrefetch()
+	defer func() { v.run.StopPrefetch() }()
 
 	if _, err := s.RunInterruptible(cancelCheckEvents, ctx.Err); err != nil {
 		return nil, fmt.Errorf("vm: %s with %d threads canceled at %v: %w",

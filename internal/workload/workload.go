@@ -103,15 +103,18 @@ const (
 // deliberate noise floor so the correlation is strong but not an oracle.
 const NumAllocSites = 24
 
-// Op is one interpreted step of a work unit.
+// Op is one interpreted step of a work unit. Fields are ordered widest
+// first so the record packs into 32 bytes: every unit, per-thread scratch
+// buffer, prefetch block and sweep tape is a slice of these.
 type Op struct {
-	Kind  OpKind
-	Dur   sim.Time
-	Size  int32
-	Death DeathSpec
-	Lock  int
+	Dur  sim.Time
+	Size int32
 	// Site is the allocation-site identifier for OpAlloc (0..NumAllocSites).
-	Site int32
+	Site  int32
+	Death DeathSpec
+	// Lock indexes the spec's shared locks for OpAcquire/OpRelease.
+	Lock int32
+	Kind OpKind
 }
 
 // Unit is one work item: an op sequence the VM interprets.
@@ -324,7 +327,8 @@ func (s *Spec) unitsFor(n int) []int {
 
 // Run is the per-execution state of a workload: the unit source the VM
 // draws from. It is not safe for concurrent use; the simulation kernel is
-// single-threaded.
+// single-threaded. (A prefetching run draws units on a producer goroutine
+// of its own, which its methods synchronize with; see Prefetch.)
 type Run struct {
 	spec    Spec
 	seed    uint64
@@ -354,11 +358,13 @@ type Run struct {
 
 	// reuse/scratch: opt-in per-thread op-buffer recycling (see
 	// ReuseUnitBuffers). tape/tapePos: optional pre-generated unit source
-	// (see AttachTape).
+	// (see AttachTape). pf: optional producer drawing units ahead (see
+	// Prefetch).
 	reuse   bool
 	scratch [][]Op
 	tape    *Tape
 	tapePos int
+	pf      *prefetch
 }
 
 // NewRun instantiates the spec for a given mutator thread count and seed.
@@ -496,9 +502,13 @@ func (r *Run) AttachTape(t *Tape) bool {
 	return true
 }
 
-// nextUnit returns the next unit from the tape when one is attached and
-// unexhausted, otherwise generates live.
+// nextUnit returns the next unit from the prefetch ring when a producer
+// runs, else from the tape when one is attached and unexhausted,
+// otherwise generates live.
 func (r *Run) nextUnit(tid int) Unit {
+	if r.pf != nil {
+		return r.prefetched(tid)
+	}
 	if t := r.tape; t != nil {
 		if r.tapePos < len(t.units) {
 			u := t.units[r.tapePos]
@@ -535,8 +545,21 @@ func clampSize(v float64) int32 {
 }
 
 // generate builds the op sequence for one unit, deterministic in the run's
-// RNG stream.
+// RNG stream, into tid's scratch buffer when the run recycles buffers.
 func (r *Run) generate(tid int) Unit {
+	if !r.reuse {
+		return Unit{Ops: r.appendUnit(nil)}
+	}
+	ops := r.appendUnit(r.scratch[tid][:0])
+	r.scratch[tid] = ops // keep grown capacity for tid's next unit
+	return Unit{Ops: ops}
+}
+
+// appendUnit draws the next unit and appends its ops to ops; a nil ops
+// gets a fresh slice of exactly the unit's size. It touches only the
+// RNG streams and read-only spec state, so the prefetch producer may call
+// it off the simulation goroutine.
+func (r *Run) appendUnit(ops []Op) []Op {
 	s := &r.spec
 	rng := r.rng
 
@@ -566,11 +589,8 @@ func (r *Run) generate(tid int) Unit {
 		}
 	}
 
-	var ops []Op
-	if r.reuse {
-		ops = r.scratch[tid][:0]
-	} else {
-		ops = make([]Op, 0, 4+allocs+2*lockOps)
+	if ops == nil {
+		ops = make([]Op, 0, 2+allocs+3*lockOps)
 	}
 
 	// Leading compute: half the budget before the allocation burst.
@@ -593,9 +613,9 @@ func (r *Run) generate(tid int) Unit {
 
 	// Critical sections against shared locks, mid-unit.
 	for i := 0; i < lockOps; i++ {
-		lk := 0
+		var lk int32
 		if r.lockPop != nil {
-			lk = r.lockPop.Next()
+			lk = int32(r.lockPop.Next())
 		}
 		ops = append(ops,
 			Op{Kind: OpAcquire, Lock: lk},
@@ -605,11 +625,7 @@ func (r *Run) generate(tid int) Unit {
 	}
 
 	// Trailing compute.
-	ops = append(ops, Op{Kind: OpCompute, Dur: computeBudget / 2})
-	if r.reuse {
-		r.scratch[tid] = ops // keep grown capacity for tid's next unit
-	}
-	return Unit{Ops: ops}
+	return append(ops, Op{Kind: OpCompute, Dur: computeBudget / 2})
 }
 
 // sampleSite assigns an allocation site correlated with the object's

@@ -363,6 +363,7 @@ func NewEngine(opts ...Option) *Engine { return core.NewEngine(opts...) }
 
 // WithParallelism bounds the number of simulations the engine executes
 // concurrently; sweeps never spawn more simulation goroutines than this.
+// One simulation may use a second core for its unit stream.
 func WithParallelism(n int) Option { return core.WithParallelism(n) }
 
 // WithSeed sets the seed substituted into runs whose Config.Seed is zero.
