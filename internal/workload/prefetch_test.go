@@ -77,21 +77,6 @@ func TestPrefetchMatchesInline(t *testing.T) {
 	}
 }
 
-// TestPrefetchSkipsTape pins that a tape-replaying run never prefetches.
-func TestPrefetchSkipsTape(t *testing.T) {
-	spec := XalanSpec().Scale(0.05)
-	tape, err := BuildTape(spec, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := NewRun(spec, 4, 3)
-	r.ReuseUnitBuffers()
-	r.AttachTape(tape)
-	if r.Prefetch() {
-		t.Error("Prefetch started on a tape-replaying run")
-	}
-}
-
 // TestPrefetchProducerPanic injects a panic into the producer goroutine
 // and requires it to resurface on the taking goroutine, where a caller
 // can recover it, rather than kill the process.
