@@ -1,17 +1,16 @@
-// Benchmark harness: one testing.B benchmark per table and figure in the
-// paper's evaluation (DESIGN.md experiment index E1-E9), plus end-to-end
-// VM benchmarks. Each figure benchmark regenerates its artifact at reduced
-// scale and reports the figure's headline statistic via b.ReportMetric, so
-// `go test -bench=. -benchmem` doubles as a shape check:
+// Benchmark harness: one end-to-end benchmark regenerating the paper's
+// whole evaluation through the built-in PaperPlan, plus the VM and sweep
+// benchmarks. BenchmarkPaperPlan reports each figure's headline statistic
+// via b.ReportMetric, so `go test -bench=. -benchmem` doubles as a shape
+// check (the E1-E7 criteria in docs/paper.md):
 //
-//	E1 Fig1a  acq-growth-x      lock acquisitions, last/first thread count
-//	E2 Fig1b  cont-growth-x     lock contentions, last/first
-//	E3 Fig1c  cdf1k-shift-pt    eclipse CDF@1KB shift (flat expected)
-//	E4 Fig1d  cdf1k-shift-pt    xalan CDF@1KB drop (large expected)
-//	E5 Fig2   gc-growth-x       GC time growth for the scalable trio
-//	E6 class  match-frac        classification agreement with the paper
-//	E7 dist   top4-share        work concentration for non-scalable apps
-//	E8/E9     ablation deltas
+//	E1 Fig1a  xalan-acq-growth-x      lock acquisitions, last/first thread count
+//	E2 Fig1b  xalan-cont-growth-x     lock contentions, last/first
+//	E3 Fig1c  eclipse-cdf1k-shift-pt  eclipse CDF@1KB shift (flat expected)
+//	E4 Fig1d  xalan-cdf1k-shift-pt    xalan CDF@1KB drop (large expected)
+//	E5 Fig2   xalan-gc-growth-x       GC time growth for the scalable trio
+//	E6 class  paper-match-frac        classification agreement with the paper
+//	E7 dist   jython-top4-share       work concentration for non-scalable apps
 package javasim_test
 
 import (
@@ -24,154 +23,42 @@ import (
 
 var benchCtx = context.Background()
 
-// benchSuite builds a reduced-scale suite mirroring the paper's sweep
-// shape; scale 0.15 keeps one full regeneration under a second. Each call
-// constructs a fresh engine so every benchmark iteration simulates from a
-// cold cache — otherwise the memoizing engine would turn iterations 2..N
-// into cache-lookup measurements.
-func benchSuite() *javasim.Suite {
-	return javasim.NewEngine().Suite(javasim.ExperimentConfig{
+// BenchmarkPaperPlan regenerates every figure and table of the paper
+// (PaperPlan at scale 0.15 over 4, 16 and 48 threads) on a fresh engine
+// per iteration, so every iteration simulates from a cold cache rather
+// than measuring cache lookups.
+func BenchmarkPaperPlan(b *testing.B) {
+	b.ReportAllocs()
+	plan := javasim.PaperPlan(javasim.ExperimentConfig{
 		ThreadCounts: []int{4, 16, 48},
 		Scale:        0.15,
 		Seed:         42,
 	})
-}
-
-func sweepOrFatal(b *testing.B, s *javasim.Suite, name string) *javasim.Sweep {
-	b.Helper()
-	sw, err := s.SweepFor(benchCtx, name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sw
-}
-
-// BenchmarkFig1aLockAcquisitions regenerates Figure 1a (E1).
-func BenchmarkFig1aLockAcquisitions(b *testing.B) {
-	b.ReportAllocs()
-	var growth float64
+	var pr *javasim.PlanResult
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig1a(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		growth = metrics.GrowthFactor(sweepOrFatal(b, s, "xalan").Acquisitions())
-	}
-	b.ReportMetric(growth, "xalan-acq-growth-x")
-}
-
-// BenchmarkFig1bLockContentions regenerates Figure 1b (E2).
-func BenchmarkFig1bLockContentions(b *testing.B) {
-	b.ReportAllocs()
-	var growth float64
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig1b(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		growth = metrics.GrowthFactor(sweepOrFatal(b, s, "xalan").Contentions())
-	}
-	b.ReportMetric(growth, "xalan-cont-growth-x")
-}
-
-// BenchmarkFig1cEclipseLifetimes regenerates Figure 1c (E3).
-func BenchmarkFig1cEclipseLifetimes(b *testing.B) {
-	b.ReportAllocs()
-	var shift float64
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig1c(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		cdf := sweepOrFatal(b, s, "eclipse").CDFBelow(1024)
-		shift = 100 * (cdf[0] - cdf[len(cdf)-1])
-	}
-	b.ReportMetric(shift, "eclipse-cdf1k-shift-pt")
-}
-
-// BenchmarkFig1dXalanLifetimes regenerates Figure 1d (E4).
-func BenchmarkFig1dXalanLifetimes(b *testing.B) {
-	b.ReportAllocs()
-	var shift float64
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig1d(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		cdf := sweepOrFatal(b, s, "xalan").CDFBelow(1024)
-		shift = 100 * (cdf[0] - cdf[len(cdf)-1])
-	}
-	b.ReportMetric(shift, "xalan-cdf1k-shift-pt")
-}
-
-// BenchmarkFig2MutatorGC regenerates Figure 2 (E5).
-func BenchmarkFig2MutatorGC(b *testing.B) {
-	b.ReportAllocs()
-	var gcGrowth float64
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig2(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		gcGrowth = metrics.GrowthFactor(sweepOrFatal(b, s, "xalan").GCSeconds())
-	}
-	b.ReportMetric(gcGrowth, "xalan-gc-growth-x")
-}
-
-// BenchmarkTableClassification regenerates the §II-C table (E6).
-func BenchmarkTableClassification(b *testing.B) {
-	b.ReportAllocs()
-	var matches float64
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.ClassificationTable(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		matches = 0
-		for _, spec := range javasim.PaperBenchmarks() {
-			if sweepOrFatal(b, s, spec.Name).Classify(2.0).Matches() {
-				matches++
-			}
-		}
-		matches /= 6
-	}
-	b.ReportMetric(matches, "paper-match-frac")
-}
-
-// BenchmarkTableWorkDistribution regenerates the §III observation (E7).
-func BenchmarkTableWorkDistribution(b *testing.B) {
-	b.ReportAllocs()
-	var top4 float64
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.WorkDistributionTable(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		top4 = sweepOrFatal(b, s, "jython").ComputeFactors().Top4Share
-	}
-	b.ReportMetric(top4, "jython-top4-share")
-}
-
-// BenchmarkAblationBiasedScheduling regenerates the §IV suggestion-1
-// ablation (E8).
-func BenchmarkAblationBiasedScheduling(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := benchSuite().AblationBias(benchCtx); err != nil {
+		var err error
+		if pr, err = javasim.NewEngine().RunPlan(benchCtx, plan); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationCompartmentHeap regenerates the §IV suggestion-2
-// ablation (E9).
-func BenchmarkAblationCompartmentHeap(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := benchSuite().AblationCompartments(benchCtx); err != nil {
-			b.Fatal(err)
+	sweep := func(name string) *javasim.Sweep { return pr.Scenario(name).Sweep() }
+	cdfShift := func(name string) float64 {
+		cdf := sweep(name).CDFBelow(1024)
+		return 100 * (cdf[0] - cdf[len(cdf)-1])
+	}
+	matches := 0.0
+	for _, spec := range javasim.PaperBenchmarks() {
+		if sweep(spec.Name).Classify(2.0).Matches() {
+			matches++
 		}
 	}
+	b.ReportMetric(metrics.GrowthFactor(sweep("xalan").Acquisitions()), "xalan-acq-growth-x")
+	b.ReportMetric(metrics.GrowthFactor(sweep("xalan").Contentions()), "xalan-cont-growth-x")
+	b.ReportMetric(cdfShift("eclipse"), "eclipse-cdf1k-shift-pt")
+	b.ReportMetric(cdfShift("xalan"), "xalan-cdf1k-shift-pt")
+	b.ReportMetric(metrics.GrowthFactor(sweep("xalan").GCSeconds()), "xalan-gc-growth-x")
+	b.ReportMetric(matches/6, "paper-match-frac")
+	b.ReportMetric(sweep("jython").ComputeFactors().Top4Share, "jython-top4-share")
 }
 
 // vmRunSeeds is the fixed seed set the VM benchmarks cycle through, so

@@ -1,7 +1,9 @@
 // Command javasim runs one benchmark configuration on the simulated JVM
 // and prints the measurement record — the per-run driver behind the
 // paper's methodology (§II-B). It also executes declarative scenario
-// plans (-plan) and enumerates the workload registry (-list). Everything
+// plans (-plan), among them the built-in "paper" plan that regenerates
+// every figure and table and the "studies" plan of design-choice
+// studies, and enumerates the workload registry (-list). Everything
 // dispatches through a javasim.Engine, so Ctrl-C cancels mid-simulation.
 //
 // Usage:
@@ -14,6 +16,7 @@
 //	javasim -workload server -arrival poisson -rate 200000 -threads 16
 //	        [-requests 4000] [-timeout 5ms]
 //	javasim -plan plan.json [-parallel 8] [-progress]
+//	javasim -plan paper|studies [-scale 0.2] [-seed 42]
 //	javasim -list
 package main
 
@@ -36,7 +39,7 @@ func main() {
 		name         = flag.String("workload", "xalan", "benchmark: any registered workload (see -list)")
 		specFile     = flag.String("spec", "", "load a custom workload Spec from this JSON file (overrides -workload)")
 		dumpSpec     = flag.Bool("dump-spec", false, "print the selected workload's Spec as JSON and exit")
-		planFile     = flag.String("plan", "", "execute a declarative scenario plan from this JSON file and exit")
+		planFile     = flag.String("plan", "", "execute a declarative scenario plan and exit: a JSON file, or the built-in paper|studies (sized by -scale and -seed)")
 		list         = flag.Bool("list", false, "list the workload registry and exit")
 		parallel     = flag.Int("parallel", 0, "with -plan: max concurrent simulations (0 = GOMAXPROCS)")
 		progress     = flag.Bool("progress", false, "with -plan: stream engine progress events to stderr")
@@ -69,7 +72,7 @@ func main() {
 		return
 	}
 	if *planFile != "" {
-		runPlan(*planFile, *parallel, *progress, *storeDir)
+		runPlan(loadPlan(*planFile, *scale, *seed), *parallel, *progress, *storeDir)
 		return
 	}
 
@@ -244,13 +247,19 @@ func listWorkloads() {
 	}
 }
 
-// runPlan executes a declarative scenario plan file through an engine and
-// prints every rendered table. With storeDir, the engine's result cache
-// reads through to (and writes through to) the content-addressed disk
-// store, so a plan already run by any process sharing the store — an
-// earlier invocation, a javasimd daemon — simulates nothing.
-func runPlan(path string, parallel int, progress bool, storeDir string) {
-	f, err := os.Open(path)
+// loadPlan resolves -plan: the built-in names "paper" and "studies"
+// build their plan at the given scale and seed over the paper's thread
+// sweep; anything else is a plan file. Custom thread counts go in a plan
+// file.
+func loadPlan(arg string, scale float64, seed uint64) *javasim.Plan {
+	cfg := javasim.ExperimentConfig{Scale: scale, Seed: seed}
+	switch arg {
+	case "paper":
+		return javasim.PaperPlan(cfg)
+	case "studies":
+		return javasim.StudiesPlan(cfg)
+	}
+	f, err := os.Open(arg)
 	if err != nil {
 		fatalf("open plan: %v", err)
 	}
@@ -259,7 +268,15 @@ func runPlan(path string, parallel int, progress bool, storeDir string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	return plan
+}
 
+// runPlan executes a declarative scenario plan through an engine and
+// prints every rendered table. With storeDir, the engine's result cache
+// reads through to (and writes through to) the content-addressed disk
+// store, so a plan already run by any process sharing the store — an
+// earlier invocation, a javasimd daemon — simulates nothing.
+func runPlan(plan *javasim.Plan, parallel int, progress bool, storeDir string) {
 	opts := []javasim.Option{}
 	if parallel > 0 {
 		opts = append(opts, javasim.WithParallelism(parallel))

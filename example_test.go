@@ -154,17 +154,22 @@ func ExampleConfig_placement() {
 	// Output: ran under: round-robin
 }
 
-// ExampleSuite_Fig1d regenerates one of the paper's figures as a table.
-func ExampleSuite_Fig1d() {
-	suite := javasim.NewEngine().Suite(javasim.ExperimentConfig{
+// ExamplePaperPlan regenerates the paper's figures and tables through
+// the built-in plan and prints one of them.
+func ExamplePaperPlan() {
+	plan := javasim.PaperPlan(javasim.ExperimentConfig{
 		ThreadCounts: []int{4, 16},
 		Scale:        0.05,
 	})
-	table, err := suite.Fig1d(context.Background())
+	pr, err := javasim.NewEngine().RunPlan(context.Background(), plan)
 	if err != nil {
 		panic(err)
 	}
-	table.WriteASCII(os.Stdout)
+	for i, rs := range plan.Reports {
+		if rs.Name == "Fig1d" {
+			pr.Reports[i].WriteASCII(os.Stdout)
+		}
+	}
 	// The rendered table lists the lifespan CDF of xalan at both thread
 	// counts; values depend on the calibrated models.
 }

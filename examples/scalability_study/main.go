@@ -4,11 +4,12 @@
 // decomposition that explains *why* — sequential fraction, lock
 // contention growth, GC share growth, lifespan shift, and work imbalance.
 //
-// The whole study runs through one javasim.Engine: sweeps execute on a
-// bounded worker pool, an observer streams progress as sweeps complete,
-// and the two tables plus the drill-down share one set of memoized
-// sweeps — the engine simulates each (workload, thread count) exactly
-// once.
+// The study is a declarative plan: one scenario per benchmark plus the
+// classification and factor reports over all of them. Engine.RunPlan
+// runs the sweeps on a bounded worker pool while an observer streams
+// progress, and the drill-down reads the same scenario sweeps the
+// reports were rendered from — the engine simulates each (workload,
+// thread count) exactly once.
 package main
 
 import (
@@ -32,33 +33,35 @@ func main() {
 	)
 
 	// Scale 0.5 halves each workload so the whole study runs in seconds;
-	// pass Scale: 1 for the full-size runs.
-	suite := eng.Suite(javasim.ExperimentConfig{
-		ThreadCounts: []int{4, 8, 16, 32, 48},
-		Scale:        0.5,
+	// set Scale to 1 for the full-size runs.
+	plan := &javasim.Plan{
+		Name:         "scalability-study",
 		Seed:         42,
-	})
+		Scale:        0.5,
+		ThreadCounts: []int{4, 8, 16, 32, 48},
+		Reports: []javasim.ReportSpec{
+			{Name: "classification", Kind: javasim.ReportClassification},
+			{Name: "factors", Kind: javasim.ReportFactors},
+		},
+	}
+	for _, spec := range javasim.PaperBenchmarks() {
+		plan.Scenarios = append(plan.Scenarios, javasim.Scenario{
+			Name: spec.Name, Workload: javasim.NameWorkload(spec.Name),
+		})
+	}
 
-	classification, err := suite.ClassificationTable(ctx)
+	pr, err := eng.RunPlan(ctx, plan)
 	if err != nil {
 		log.Fatal(err)
 	}
-	classification.WriteASCII(os.Stdout)
-	fmt.Println()
-
-	factors, err := suite.FactorsTable(ctx)
-	if err != nil {
-		log.Fatal(err)
+	for _, t := range pr.Reports {
+		t.WriteASCII(os.Stdout)
+		fmt.Println()
 	}
-	factors.WriteASCII(os.Stdout)
-	fmt.Println()
 
-	// Drill into one scalable workload: show the paper's headline series.
-	// The sweep is memoized — this re-uses the simulations above.
-	sw, err := suite.SweepFor(ctx, "xalan")
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Drill into one scalable workload: show the paper's headline series
+	// from the scenario's sweep — no further simulation.
+	sw := pr.Scenario("xalan").Sweep()
 	fmt.Println("xalan detail (speedup | mutator | gc | contentions | objects dying <1KB):")
 	speedups := sw.Curve().Speedups()
 	cdf := sw.CDFBelow(1024)

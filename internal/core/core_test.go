@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"javasim/internal/metrics"
+	"javasim/internal/report"
 	"javasim/internal/vm"
 	"javasim/internal/workload"
 )
@@ -17,7 +18,7 @@ func testSweep(t *testing.T, name string, counts []int) *Sweep {
 	if !ok {
 		t.Fatalf("unknown workload %s", name)
 	}
-	sw, err := RunSweep(spec.Scale(0.08), SweepConfig{
+	sw, err := NewEngine().Sweep(context.Background(), spec.Scale(0.08), SweepConfig{
 		ThreadCounts: counts,
 		Base:         vm.Config{Seed: 11},
 	})
@@ -84,55 +85,63 @@ func TestComputeFactors(t *testing.T) {
 	}
 }
 
-func TestSuiteCachesSweeps(t *testing.T) {
-	s := NewSuite(ExperimentConfig{
-		ThreadCounts: []int{2, 4},
-		Scale:        0.02,
-		Workloads:    []workload.Spec{workload.XalanSpec()},
-	})
-	a, err := s.SweepFor(context.Background(), "xalan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.SweepFor(context.Background(), "xalan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("sweep not cached")
-	}
-	if _, err := s.SweepFor(context.Background(), "nope"); err == nil {
-		t.Error("unknown workload accepted")
-	}
-}
-
+// TestSuiteDefaults checks the defaults the built-in plans fill into a
+// zero ExperimentConfig: the paper's full-scale suite of six benchmarks
+// over its thread sweep, seed 42.
 func TestSuiteDefaults(t *testing.T) {
-	s := NewSuite(ExperimentConfig{})
-	cfg := s.Config()
+	cfg := ExperimentConfig{}.withDefaults()
 	if cfg.Scale != 1 || cfg.Seed != 42 || len(cfg.Workloads) != 6 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	if len(cfg.ThreadCounts) != len(DefaultThreadCounts) {
 		t.Error("default thread counts not applied")
 	}
+	p := PaperPlan(ExperimentConfig{})
+	if p.Scale != 1 || p.Seed != 42 || len(p.ThreadCounts) != len(DefaultThreadCounts) {
+		t.Errorf("paper plan defaults: scale %v seed %d counts %v", p.Scale, p.Seed, p.ThreadCounts)
+	}
 }
 
-func smallSuite(counts ...int) *Suite {
+// paperEngine is shared by the artifact tests so identical small paper
+// plans simulate once per package run.
+var paperEngine = NewEngine()
+
+// smallPaper runs PaperPlan at a reduced scale (default counts {2,4,8})
+// and returns the plan with its result.
+func smallPaper(t *testing.T, counts ...int) (*Plan, *PlanResult) {
+	t.Helper()
 	if len(counts) == 0 {
 		counts = []int{2, 4, 8}
 	}
-	return NewSuite(ExperimentConfig{
-		ThreadCounts: counts,
-		Scale:        0.04,
-		Seed:         13,
-	})
-}
-
-func TestFig1aTable(t *testing.T) {
-	tb, err := smallSuite().Fig1a(context.Background())
+	p := PaperPlan(ExperimentConfig{ThreadCounts: counts, Scale: 0.04, Seed: 13})
+	pr, err := paperEngine.RunPlan(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, pr
+}
+
+// planReport returns the report a plan rendered under the given name.
+func planReport(t *testing.T, p *Plan, pr *PlanResult, name string) *report.Table {
+	t.Helper()
+	for i := range p.Reports {
+		if p.Reports[i].Name == name {
+			return pr.Reports[i]
+		}
+	}
+	t.Fatalf("plan %q has no report %q", p.Name, name)
+	return nil
+}
+
+// paperReport runs the small paper plan and returns one of its reports.
+func paperReport(t *testing.T, name string, counts ...int) *report.Table {
+	t.Helper()
+	p, pr := smallPaper(t, counts...)
+	return planReport(t, p, pr, name)
+}
+
+func TestFig1aTable(t *testing.T) {
+	tb := paperReport(t, "Fig1a")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(tb.Rows))
 	}
@@ -148,28 +157,16 @@ func TestFig1aTable(t *testing.T) {
 }
 
 func TestFig1bTable(t *testing.T) {
-	tb, err := smallSuite().Fig1b(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 6 {
+	if tb := paperReport(t, "Fig1b"); len(tb.Rows) != 6 {
 		t.Errorf("rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFig1cdTables(t *testing.T) {
-	s := smallSuite()
-	c, err := s.Fig1c(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(c.Title, "eclipse") {
+	if c := paperReport(t, "Fig1c"); !strings.Contains(c.Title, "eclipse") {
 		t.Error("Fig1c is not eclipse")
 	}
-	d, err := s.Fig1d(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := paperReport(t, "Fig1d")
 	if !strings.Contains(d.Title, "xalan") {
 		t.Error("Fig1d is not xalan")
 	}
@@ -179,17 +176,15 @@ func TestFig1cdTables(t *testing.T) {
 }
 
 func TestLifespanCDFUnknownThreads(t *testing.T) {
-	if _, err := smallSuite().LifespanCDF(context.Background(), "xalan", 3, 999); err == nil {
+	_, pr := smallPaper(t)
+	sw := pr.Scenario("xalan").Sweep()
+	if _, err := renderLifespanCDF(sw, 3, 999); err == nil {
 		t.Error("bogus thread counts accepted")
 	}
 }
 
 func TestFig2Table(t *testing.T) {
-	s := smallSuite()
-	tb, err := s.Fig2(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := paperReport(t, "Fig2")
 	// Scalable trio x 3 thread counts.
 	if len(tb.Rows) != 9 {
 		t.Errorf("rows = %d, want 9", len(tb.Rows))
@@ -200,61 +195,39 @@ func TestFig2Table(t *testing.T) {
 }
 
 func TestClassificationTable(t *testing.T) {
-	tb, err := smallSuite(2, 8, 16).ClassificationTable(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tb.String()
+	out := paperReport(t, "ClassificationTable", 2, 8, 16).String()
 	if strings.Contains(out, "NO") {
 		t.Errorf("classification mismatch with paper:\n%s", out)
 	}
 }
 
 func TestWorkDistributionTable(t *testing.T) {
-	tb, err := smallSuite(2, 8, 16).WorkDistributionTable(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 6 {
+	if tb := paperReport(t, "WorkDistributionTable", 2, 8, 16); len(tb.Rows) != 6 {
 		t.Errorf("rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFactorsTable(t *testing.T) {
-	tb, err := smallSuite().FactorsTable(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 6 {
+	if tb := paperReport(t, "FactorsTable"); len(tb.Rows) != 6 {
 		t.Errorf("rows = %d", len(tb.Rows))
 	}
 }
 
 func TestAblations(t *testing.T) {
-	s := smallSuite(2, 8)
-	bias, err := s.AblationBias(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	bias := paperReport(t, "AblationBias", 2, 8)
 	if len(bias.Rows) == 0 || !strings.Contains(bias.Title, "xalan") {
 		t.Error("bias ablation malformed")
 	}
-	comp, err := s.AblationCompartments(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comp.Rows) == 0 {
+	if comp := paperReport(t, "AblationCompartments", 2, 8); len(comp.Rows) == 0 {
 		t.Error("compartment ablation malformed")
 	}
 }
 
 func TestAllArtifacts(t *testing.T) {
-	tables, err := smallSuite().AllArtifacts(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10 historical artifacts plus the USLFitTable (the suite's 3-point
-	// sweep is long enough to fit).
+	_, pr := smallPaper(t)
+	tables := pr.Tables()
+	// 10 historical artifacts plus the USLFitTable (the 3-point sweep is
+	// long enough to fit).
 	if len(tables) != 11 {
 		t.Errorf("artifacts = %d, want 11", len(tables))
 	}
@@ -267,24 +240,24 @@ func TestAllArtifacts(t *testing.T) {
 
 // TestPaperShapes is the integration acceptance test: at reduced scale,
 // every experiment must reproduce the paper's qualitative findings (the
-// E1-E9 criteria in DESIGN.md, relaxed to the reduced sweep).
+// E1-E7 criteria in docs/paper.md, relaxed to the reduced sweep).
 func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs full workloads; skipped in -short")
 	}
-	s := NewSuite(ExperimentConfig{
+	pr, err := NewEngine().RunPlan(context.Background(), PaperPlan(ExperimentConfig{
 		ThreadCounts: []int{4, 16, 32},
 		Scale:        0.3,
 		Seed:         42,
-	})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(name string) *Sweep { return pr.Scenario(name).Sweep() }
 
 	// E6: classification matches the paper for all six benchmarks.
 	for _, w := range workload.PaperSet() {
-		sw, err := s.SweepFor(context.Background(), w.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := sw.Classify(DefaultSpeedupThreshold)
+		c := sweep(w.Name).Classify(DefaultSpeedupThreshold)
 		if !c.Matches() {
 			t.Errorf("E6 %s: verdict %v, paper says %v (max speedup %.2fx)",
 				w.Name, c.Scalable, c.PaperScalable, c.MaxSpeedup)
@@ -297,7 +270,7 @@ func TestPaperShapes(t *testing.T) {
 	// E1/E2: lock acquisitions and contentions grow for scalable apps,
 	// stay near-flat for non-scalable ones.
 	for _, name := range scalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		if g := metrics.GrowthFactor(sw.Acquisitions()); g < 1.15 {
 			t.Errorf("E1 %s: acquisition growth %.2fx, want >= 1.15x", name, g)
 		}
@@ -306,7 +279,7 @@ func TestPaperShapes(t *testing.T) {
 		}
 	}
 	for _, name := range nonScalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		if g := metrics.GrowthFactor(sw.Acquisitions()); g > 1.3 {
 			t.Errorf("E1 %s: acquisition growth %.2fx, want flat (<1.3x)", name, g)
 		}
@@ -316,14 +289,14 @@ func TestPaperShapes(t *testing.T) {
 	}
 
 	// E3: eclipse's lifetime CDF at 1KB moves < 5 points.
-	ec, _ := s.SweepFor(context.Background(), "eclipse")
+	ec := sweep("eclipse")
 	ecCDF := ec.CDFBelow(1024)
 	if d := ecCDF[0] - ecCDF[len(ecCDF)-1]; d > 0.05 || d < -0.05 {
 		t.Errorf("E3 eclipse: CDF@1KB shifted %.1f points, want |shift| < 5", 100*d)
 	}
 
 	// E4: xalan's CDF@1KB declines by >= 10 points over the sweep.
-	xa, _ := s.SweepFor(context.Background(), "xalan")
+	xa := sweep("xalan")
 	xaCDF := xa.CDFBelow(1024)
 	if d := xaCDF[0] - xaCDF[len(xaCDF)-1]; d < 0.10 {
 		t.Errorf("E4 xalan: CDF@1KB declined only %.1f points (%.2f -> %.2f), want >= 10",
@@ -336,7 +309,7 @@ func TestPaperShapes(t *testing.T) {
 	// E5: for the scalable trio, mutator time decreases monotonically and
 	// GC time grows.
 	for _, name := range scalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		if !metrics.MonotoneDecreasing(sw.MutatorSeconds(), 0.02) {
 			t.Errorf("E5 %s: mutator time not decreasing: %v", name, sw.MutatorSeconds())
 		}
@@ -353,13 +326,13 @@ func TestPaperShapes(t *testing.T) {
 
 	// E7: work distribution — non-scalable apps concentrate work.
 	for _, name := range nonScalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		if f := sw.ComputeFactors(); f.Top4Share < 0.7 {
 			t.Errorf("E7 %s: top-4 share %.2f, want >= 0.7", name, f.Top4Share)
 		}
 	}
 	for _, name := range scalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		last := sw.Points[len(sw.Points)-1].Result
 		shares := make([]float64, len(last.PerThreadUnits))
 		for i, u := range last.PerThreadUnits {

@@ -143,18 +143,6 @@ func NewEngine(opts ...Option) *Engine {
 	return e
 }
 
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the shared process-wide engine that the
-// deprecated free functions (Run, RunSweep, NewSuite) delegate to.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
-}
-
 // Parallelism reports the engine's simulation concurrency bound.
 func (e *Engine) Parallelism() int { return e.parallelism }
 
@@ -430,16 +418,4 @@ func (e *Engine) Sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig)
 	}
 	e.emit(ctx, Event{Kind: SweepDone, Workload: spec.Name, Seed: cfg.Base.Seed})
 	return s, nil
-}
-
-// Suite builds an experiment suite bound to this engine: its sweeps run
-// through the engine's worker pool, its repeated figure/study requests
-// share the engine's memoizing cache, and its progress streams to the
-// engine's observers.
-func (e *Engine) Suite(cfg ExperimentConfig) *Suite {
-	return &Suite{
-		cfg:    cfg.withDefaults(),
-		eng:    e,
-		sweeps: make(map[string]*sweepCell),
-	}
 }

@@ -247,91 +247,66 @@ func TestEngineWithSeedDefault(t *testing.T) {
 	}
 }
 
-func TestSuiteSweepsArePointerEqual(t *testing.T) {
-	obs := newCountingObserver()
-	e := NewEngine(WithObserver(obs))
-	s := e.Suite(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02})
-	ctx := context.Background()
-
-	a, err := s.SweepFor(ctx, "xalan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	simsAfterFirst := obs.count(RunStarted)
-	b, err := s.SweepFor(ctx, "xalan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("repeated SweepFor did not return the identical *Sweep")
-	}
-	if got := obs.count(RunStarted); got != simsAfterFirst {
-		t.Errorf("repeated SweepFor simulated again: %d -> %d", simsAfterFirst, got)
-	}
-}
-
+// TestSuiteRepeatedFiguresHitCache reruns the paper's figure suite on
+// one engine: the second run re-renders every artifact from memoized
+// results without simulating anything.
 func TestSuiteRepeatedFiguresHitCache(t *testing.T) {
 	obs := newCountingObserver()
 	e := NewEngine(WithObserver(obs))
-	s := e.Suite(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02})
+	p := PaperPlan(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02})
 	ctx := context.Background()
 
-	if _, err := s.Fig1a(ctx); err != nil {
+	first, err := e.RunPlan(ctx, p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sims := obs.count(RunStarted)
 	if sims == 0 {
-		t.Fatal("first figure simulated nothing")
+		t.Fatal("first run simulated nothing")
 	}
-	// Fig1b and Fig2 draw on the same sweeps; a second Fig1a is free too.
-	if _, err := s.Fig1b(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Fig2(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Fig1a(ctx); err != nil {
+	second, err := e.RunPlan(ctx, p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.count(RunStarted); got != sims {
 		t.Errorf("repeated figures re-simulated: %d -> %d", sims, got)
 	}
-	if got := obs.count(ArtifactRendered); got != 4 {
-		t.Errorf("artifact events = %d, want 4", got)
+	if got, want := obs.count(ArtifactRendered), 2*len(p.Reports); got != want {
+		t.Errorf("artifact events = %d, want %d", got, want)
+	}
+	for i := range first.Reports {
+		if first.Reports[i].String() != second.Reports[i].String() {
+			t.Errorf("report %s changed between runs", p.Reports[i].Name)
+		}
 	}
 }
 
+// TestSuiteConcurrentFigureGeneration runs the paper's figure suite from
+// several goroutines on one engine: however the runs race, every
+// (workload, thread count) point and ablation simulates exactly once.
 func TestSuiteConcurrentFigureGeneration(t *testing.T) {
 	obs := newCountingObserver()
 	e := NewEngine(WithParallelism(4), WithObserver(obs))
-	s := e.Suite(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02})
+	p := PaperPlan(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02})
 	ctx := context.Background()
 
-	gens := []func(context.Context) (any, error){
-		func(ctx context.Context) (any, error) { return s.Fig1a(ctx) },
-		func(ctx context.Context) (any, error) { return s.Fig1b(ctx) },
-		func(ctx context.Context) (any, error) { return s.Fig1c(ctx) },
-		func(ctx context.Context) (any, error) { return s.Fig1d(ctx) },
-		func(ctx context.Context) (any, error) { return s.Fig2(ctx) },
-		func(ctx context.Context) (any, error) { return s.ClassificationTable(ctx) },
-		func(ctx context.Context) (any, error) { return s.FactorsTable(ctx) },
-	}
 	var wg sync.WaitGroup
-	wg.Add(len(gens))
-	for _, g := range gens {
-		go func(g func(context.Context) (any, error)) {
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			if _, err := g(ctx); err != nil {
+			if _, err := e.RunPlan(ctx, p); err != nil {
 				t.Error(err)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 
-	// Six workloads x two thread counts: every figure shares the same 12
-	// simulations no matter how many generators raced.
-	if got := obs.count(RunStarted); got != 12 {
-		t.Errorf("concurrent figure generation ran %d simulations, want 12", got)
+	// Six workloads x two thread counts, plus the biased and
+	// compartmented ablation points (the ablation baseline is the xalan
+	// sweep's last point).
+	if got := obs.count(RunStarted); got != 14 {
+		t.Errorf("concurrent figure generation ran %d simulations, want 14", got)
 	}
 }
 

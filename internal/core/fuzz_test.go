@@ -47,6 +47,9 @@ func FuzzLoadPlan(f *testing.F) {
 		// A heap factor in (0, 1) cannot size a heap; it must fail at
 		// load, not panic later on an engine goroutine.
 		`{"Scenarios":[{"Name":"a","Workload":"xalan","Overrides":{"HeapFactor":0.5}}]}`,
+		// A heap factor so large the heap overflows int64 bytes must fail
+		// at load too, not wrap negative and fail mid-run.
+		`{"Scale":0.02,"ThreadCounts":[2],"Scenarios":[{"Name":"a","Workload":"xalan","Overrides":{"HeapFactor":1e15}}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -63,11 +66,19 @@ func FuzzLoadPlan(f *testing.F) {
 			t.Fatalf("LoadPlan accepted a plan its own Validate rejects: %v", err)
 		}
 		// Every admitted heap factor must be one the heap can be built
-		// with.
+		// with for the scenario's workload at its scale.
 		for i := range p.Scenarios {
-			if o := p.Scenarios[i].Overrides; o != nil && o.HeapFactor != 0 {
-				if err := heap.ValidateFactor(o.HeapFactor); err != nil {
-					t.Fatalf("scenario %q passed validation with %v", p.Scenarios[i].Name, err)
+			sc := &p.Scenarios[i]
+			if o := sc.Overrides; o != nil && o.HeapFactor != 0 {
+				spec, err := sc.Workload.Resolve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec = spec.Scale(sc.scale(p))
+				hcfg := heap.Config{MinHeap: spec.MinHeapBytes(), Factor: o.HeapFactor,
+					NewRatio: o.NewRatio, SurvivorRatio: o.SurvivorRatio}
+				if err := hcfg.WithDefaults().Validate(); err != nil {
+					t.Fatalf("scenario %q passed validation with %v", sc.Name, err)
 				}
 			}
 		}

@@ -17,15 +17,15 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden artifact file"
 // `go test ./internal/core/ -run TestGolden -update` to accept it
 // deliberately.
 func TestGoldenArtifacts(t *testing.T) {
-	suite := NewSuite(ExperimentConfig{
+	pr, err := NewEngine().RunPlan(context.Background(), PaperPlan(ExperimentConfig{
 		ThreadCounts: []int{2, 4},
 		Scale:        0.02,
 		Seed:         12345,
-	})
-	tables, err := suite.AllArtifacts(context.Background())
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := pr.Tables()
 	var buf bytes.Buffer
 	for _, tb := range tables {
 		if err := tb.WriteASCII(&buf); err != nil {

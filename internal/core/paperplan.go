@@ -4,18 +4,48 @@ import (
 	"fmt"
 
 	"javasim/internal/fit"
+	"javasim/internal/machine"
 	"javasim/internal/sim"
 	"javasim/internal/workload"
 )
+
+// ExperimentConfig sizes the built-in plans (PaperPlan, StudiesPlan).
+// The zero value reproduces the paper's setup at full scale.
+type ExperimentConfig struct {
+	// ThreadCounts is the sweep; nil means the paper's {4,8,16,24,32,48}.
+	ThreadCounts []int
+	// Scale shrinks every workload (0 < Scale <= 1); 0 means full scale.
+	// Benchmarks and CI use reduced scales.
+	Scale float64
+	// Seed drives all randomness; 0 means 42.
+	Seed uint64
+	// Workloads restricts the benchmark set; nil means all six.
+	Workloads []workload.Spec
+}
+
+func (c ExperimentConfig) withDefaults() ExperimentConfig {
+	if len(c.ThreadCounts) == 0 {
+		c.ThreadCounts = DefaultThreadCounts
+	}
+	if c.Scale == 0 {
+		c.Scale = 1
+	}
+	if c.Seed == 0 {
+		c.Seed = 42
+	}
+	if len(c.Workloads) == 0 {
+		c.Workloads = workload.PaperSet()
+	}
+	return c
+}
 
 // PaperPlan expresses the paper's entire figure suite — Figures 1a-1d and
 // 2, the classification, work-distribution, and factor tables, and the
 // two §IV ablations — as one declarative Plan: six sweep scenarios (one
 // per benchmark), three single-point ablation scenarios on xalan, and ten
-// cross-scenario reports. Suite.AllArtifacts executes exactly this plan,
-// so the declarative API provably covers everything the imperative one
-// hard-coded. The zero ExperimentConfig reproduces the paper's full-scale
-// setup.
+// cross-scenario reports (plus the USL fit table when the sweep has at
+// least fit.MinPoints thread counts). cmd/javasim -plan paper executes
+// it. The zero ExperimentConfig reproduces the paper's full-scale setup.
 func PaperPlan(cfg ExperimentConfig) *Plan {
 	cfg = cfg.withDefaults()
 	hi := cfg.ThreadCounts[len(cfg.ThreadCounts)-1]
@@ -50,8 +80,8 @@ func PaperPlan(cfg ExperimentConfig) *Plan {
 			Overrides: &ConfigOverrides{Compartments: 4}},
 	)
 
-	// Figure 2 covers the scalable trio; like the imperative suite, it
-	// silently narrows to whichever of the three the config kept.
+	// Figure 2 covers the scalable trio; it silently narrows to whichever
+	// of the three the config kept.
 	var trio []string
 	for _, name := range []string{"sunflow", "lusearch", "xalan"} {
 		for _, w := range workloadNames {
@@ -99,5 +129,73 @@ func PaperPlan(cfg ExperimentConfig) *Plan {
 			Name: "USLFitTable", Kind: ReportUSL, Scenarios: workloadNames,
 		})
 	}
+	return p
+}
+
+// StudiesPlan expresses the design-choice studies as one declarative
+// Plan. They are not paper artifacts: they sweep the simulator's own
+// knobs to check that each cost model responds the way the real
+// mechanism does. Every study runs at the top of cfg's thread sweep,
+// where the GC effects are strongest. Six studies are multi-column
+// compare reports over single-point scenarios: heap factor, GC workers,
+// tenuring threshold, NUMA vs a flat machine, throughput vs concurrent
+// collector (on the server workload, the class the paper's §IV says
+// suffers most from pauses), and allocation-site pretenuring. The
+// seventh, seed replication, is a five-repeat scenario rendering the
+// replication output. The zero ExperimentConfig runs at full scale;
+// cfg.Workloads is ignored.
+func StudiesPlan(cfg ExperimentConfig) *Plan {
+	cfg = cfg.withDefaults()
+	hi := cfg.ThreadCounts[len(cfg.ThreadCounts)-1]
+	p := &Plan{Name: "studies", Seed: cfg.Seed, Scale: cfg.Scale, ThreadCounts: []int{hi}}
+
+	// study adds one scenario per column and a compare report over them,
+	// in order; the first column is the report's baseline.
+	type column struct {
+		name      string
+		overrides *ConfigOverrides
+	}
+	study := func(report, title, wl, note string, cols []column) {
+		names := make([]string, len(cols))
+		for i, c := range cols {
+			names[i] = c.name
+			p.Scenarios = append(p.Scenarios, Scenario{Name: c.name, Workload: workload.NameRef(wl), Overrides: c.overrides})
+		}
+		p.Reports = append(p.Reports, ReportSpec{Name: report, Kind: ReportCompare, Scenarios: names,
+			Title: fmt.Sprintf("Study — %s (%s @ %d threads)", title, wl, hi), Note: note})
+	}
+
+	var heap, workers, tenuring []column
+	for _, f := range []float64{1.5, 2, 3, 4, 6} {
+		heap = append(heap, column{fmt.Sprintf("heap-%gx", f), &ConfigOverrides{HeapFactor: f}})
+	}
+	for _, w := range []int{1, 2, 4, 8, 16, 33} {
+		workers = append(workers, column{fmt.Sprintf("gc-workers-%d", w), &ConfigOverrides{GCWorkers: w}})
+	}
+	for _, th := range []int{1, 2, 4, 8} {
+		tenuring = append(tenuring, column{fmt.Sprintf("tenuring-%d", th), &ConfigOverrides{TenuringThreshold: th}})
+	}
+	study("StudyHeapFactor", "heap factor sweep", "xalan",
+		"the paper runs everything at 3x the minimum heap; the GC time/space trade-off validates the heap model", heap)
+	study("StudyGCWorkers", "GC worker sweep", "xalan",
+		"pause time divides across workers with contention-limited efficiency, never linearly", workers)
+	study("StudyTenuring", "tenuring threshold sweep", "xalan",
+		"promote-early floods the old generation, promote-late recopies survivors: the paper's survivor-copying dial (§III-B)", tenuring)
+	study("StudyNUMA", "NUMA vs flat memory", "xalan",
+		"the paper's testbed pays cross-socket latency above 12 threads; a flat machine is the counterfactual",
+		[]column{{"numa", nil}, {"flat", &ConfigOverrides{Machine: machine.ModelOpteronFlat}}})
+	study("StudyCollector", "throughput vs concurrent collector, 1.6x heap", "server",
+		"the concurrent collector trades stop-the-world time for background GC CPU and fragmentation",
+		[]column{
+			{"throughput-gc", &ConfigOverrides{HeapFactor: 1.6}},
+			{"concurrent-gc", &ConfigOverrides{HeapFactor: 1.6, ConcurrentGC: true, GCTriggerRatio: 0.5}},
+		})
+	study("StudyPretenuring", "allocation-site pretenuring", "xalan",
+		"long-lived sites allocate straight to the old generation, skipping the survivor copying the paper blames",
+		[]column{{"no-pretenuring", nil}, {"pretenuring", &ConfigOverrides{Pretenuring: true}}})
+
+	// Seed replication: the headline point under five derived seeds.
+	p.Scenarios = append(p.Scenarios, Scenario{Name: "replication", Workload: workload.NameRef("xalan"),
+		Repeats: 5, Outputs: []Output{OutputReplication}})
 	return p
 }

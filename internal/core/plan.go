@@ -122,9 +122,9 @@ type ConfigOverrides struct {
 	NewRatio      int `json:",omitempty"`
 	SurvivorRatio int `json:",omitempty"`
 	// Machine selects the hardware model by machine registry name
-	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw"); empty inherits
-	// the plan's (ultimately opteron-6168). Unknown names are rejected at
-	// plan-load time.
+	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw",
+	// "opteron-6168-flat"); empty inherits the plan's (ultimately
+	// opteron-6168). Unknown names are rejected at plan-load time.
 	Machine string `json:",omitempty"`
 }
 
@@ -188,11 +188,6 @@ func (o *ConfigOverrides) apply(cfg *vm.Config) {
 func (o *ConfigOverrides) validate() error {
 	if o == nil {
 		return nil
-	}
-	if o.HeapFactor != 0 {
-		if err := heap.ValidateFactor(o.HeapFactor); err != nil {
-			return err
-		}
 	}
 	if o.Compartments < 0 || o.BiasGroups < 0 || o.GCWorkers < 0 || o.Iterations < 0 {
 		return fmt.Errorf("negative override")
@@ -337,7 +332,8 @@ func (sc *Scenario) validate(p *Plan) error {
 	if sc.Name == "" {
 		return fmt.Errorf("core: scenario with empty name")
 	}
-	if _, err := sc.Workload.Resolve(); err != nil {
+	spec, err := sc.Workload.Resolve()
+	if err != nil {
 		return fmt.Errorf("core: scenario %q: %w", sc.Name, err)
 	}
 	if err := validThreadCounts(sc.ThreadCounts); err != nil {
@@ -351,6 +347,17 @@ func (sc *Scenario) validate(p *Plan) error {
 	}
 	if err := sc.Overrides.validate(); err != nil {
 		return fmt.Errorf("core: scenario %q: overrides: %w", sc.Name, err)
+	}
+	if o := sc.Overrides; o != nil && o.HeapFactor != 0 {
+		// The heap must be sizable for this workload at this scale: a
+		// factor below 1, or one whose heap overflows int64 bytes, fails
+		// here rather than mid-run.
+		spec = spec.Scale(sc.scale(p))
+		hcfg := heap.Config{MinHeap: spec.MinHeapBytes(), Factor: o.HeapFactor,
+			NewRatio: o.NewRatio, SurvivorRatio: o.SurvivorRatio}
+		if err := hcfg.WithDefaults().Validate(); err != nil {
+			return fmt.Errorf("core: scenario %q: overrides: %w", sc.Name, err)
+		}
 	}
 	if sc.Traffic != nil {
 		if len(sc.ThreadCounts) > 0 {

@@ -60,10 +60,61 @@ func tagLabel(label string, sw *Sweep) string {
 	return label
 }
 
-// This file holds the rendering layer shared by the imperative Suite
-// methods and the declarative plan reports: every figure and table is a
-// pure function of one or more sweeps, so the two APIs produce
-// byte-identical artifacts from the same simulation results.
+// This file holds the rendering layer behind the plan outputs and
+// reports: every figure and table is a pure function of one or more
+// sweeps, so the same simulation results always render the same bytes.
+
+// cdfLimits are the lifespan bucket boundaries (bytes) used for the
+// Figure 1c/1d distributions.
+var cdfLimits = []int64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
+
+func meanPause(ps []gc.Pause) sim.Time {
+	if len(ps) == 0 {
+		return 0
+	}
+	var sum sim.Time
+	for _, p := range ps {
+		sum += p.Duration
+	}
+	return sum / sim.Time(len(ps))
+}
+
+func maxPause(ps []gc.Pause) sim.Time {
+	var m sim.Time
+	for _, p := range ps {
+		if p.Duration > m {
+			m = p.Duration
+		}
+	}
+	return m
+}
+
+func formatBytes(b int64) string {
+	switch {
+	case b >= 1<<20:
+		return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
+	case b >= 1<<10:
+		return fmt.Sprintf("%.1fKB", float64(b)/(1<<10))
+	default:
+		return fmt.Sprintf("%dB", b)
+	}
+}
+
+// imbalance is the max/mean ratio of per-thread work shares; 1 means
+// perfectly even (and is reported for an empty or all-zero split).
+func imbalance(shares []float64) float64 {
+	var max, sum float64
+	for _, s := range shares {
+		if s > max {
+			max = s
+		}
+		sum += s
+	}
+	if sum == 0 || len(shares) == 0 {
+		return 1
+	}
+	return max / (sum / float64(len(shares)))
+}
 
 // metricSeries extracts one per-point series from a sweep.
 func metricSeries(sw *Sweep, m Metric) ([]float64, error) {
@@ -319,8 +370,10 @@ func formatPhases(b gc.Breakdown) string {
 // compareRows fills a compare table's metric rows from one result per
 // column. The per-phase GC CPU and concurrent-GC rows appear only when a
 // column ran a non-default GC policy, so historical two-column artifacts
-// keep their byte-identical form.
-func compareRows(t *report.Table, results []*vm.Result) {
+// keep their byte-identical form. With gcVolume, the collection-count
+// and copy/promotion-volume rows the design-choice studies read follow
+// the collection total.
+func compareRows(t *report.Table, results []*vm.Result, gcVolume bool) {
 	row := func(name string, cell func(*vm.Result) string) {
 		cells := []string{name}
 		for _, r := range results {
@@ -333,6 +386,14 @@ func compareRows(t *report.Table, results []*vm.Result) {
 	row("mean gc pause", func(r *vm.Result) string { return meanPause(r.GCPauses).String() })
 	row("max gc pause", func(r *vm.Result) string { return maxPause(r.GCPauses).String() })
 	row("collections", func(r *vm.Result) string { return fmt.Sprintf("%d", len(r.GCPauses)) })
+	if gcVolume {
+		mb := func(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
+		row("minor gcs", func(r *vm.Result) string { return fmt.Sprintf("%d", r.GCStats.MinorCount) })
+		row("full gcs", func(r *vm.Result) string { return fmt.Sprintf("%d", r.GCStats.FullCount) })
+		row("copied MB", func(r *vm.Result) string { return mb(r.GCStats.CopiedBytes) })
+		row("promoted MB", func(r *vm.Result) string { return mb(r.GCStats.PromotedBytes) })
+		row("pretenured", func(r *vm.Result) string { return fmt.Sprintf("%d", r.HeapStats.PretenuredAllocs) })
+	}
 	if nonDefaultGC(results) {
 		row("gc phases s/s/c", func(r *vm.Result) string { return formatPhases(r.GCPhases) })
 		row("conc gc cpu", func(r *vm.Result) string { return r.ConcGCCPUTime.String() })
@@ -363,14 +424,15 @@ func renderCompare(title, note string, base, mod *vm.Result) *report.Table {
 		Headers: []string{"metric", baseHdr, modHdr},
 		Note:    note,
 	}
-	compareRows(t, []*vm.Result{base, mod})
+	compareRows(t, []*vm.Result{base, mod}, false)
 	return t
 }
 
 // renderCompareColumns builds a multi-column compare table: one column
 // per named scenario (the first is the baseline), each header suffixed
 // with the run's policy tag — the one-table shape of a whole policy
-// ablation.
+// ablation or design-choice study, so it also carries the GC volume
+// rows.
 func renderCompareColumns(title, note string, names []string, results []*vm.Result) *report.Table {
 	headers := []string{"metric"}
 	for i, name := range names {
@@ -380,7 +442,7 @@ func renderCompareColumns(title, note string, names []string, results []*vm.Resu
 		headers = append(headers, name)
 	}
 	t := &report.Table{Title: title, Headers: headers, Note: note}
-	compareRows(t, results)
+	compareRows(t, results, true)
 	return t
 }
 

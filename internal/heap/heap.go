@@ -17,6 +17,7 @@ package heap
 
 import (
 	"fmt"
+	"math"
 )
 
 // Config sizes a heap.
@@ -65,8 +66,15 @@ func (c Config) Validate() error {
 	if c.MinHeap <= 0 {
 		return fmt.Errorf("heap: MinHeap = %d, need > 0", c.MinHeap)
 	}
-	if err := ValidateFactor(c.Factor); err != nil {
-		return err
+	// A multiple of the minimum heap below 1 cannot hold the workload,
+	// and NaN or infinity sizes nothing.
+	if !(c.Factor >= 1) || math.IsInf(c.Factor, 1) {
+		return fmt.Errorf("heap: Factor = %v, need >= 1", c.Factor)
+	}
+	// Sizing converts MinHeap x Factor to int64 bytes; a product past
+	// the int64 range would wrap negative and corrupt every space.
+	if size := float64(c.MinHeap) * c.Factor; size >= math.MaxInt64 {
+		return fmt.Errorf("heap: MinHeap %d x Factor %v = %.3g bytes exceeds the int64 range", c.MinHeap, c.Factor, size)
 	}
 	if c.NewRatio < 1 || c.SurvivorRatio < 1 {
 		return fmt.Errorf("heap: ratios must be >= 1")
@@ -76,15 +84,6 @@ func (c Config) Validate() error {
 	}
 	if c.Compartments < 1 {
 		return fmt.Errorf("heap: Compartments = %d, need >= 1", c.Compartments)
-	}
-	return nil
-}
-
-// ValidateFactor reports whether f can size a heap: a multiple of the
-// minimum heap below 1 cannot hold the workload.
-func ValidateFactor(f float64) error {
-	if f < 1 {
-		return fmt.Errorf("heap: Factor = %v, need >= 1", f)
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package heap
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +51,33 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, c)
 		}
+	}
+}
+
+// TestValidateRejectsOverflowingSize checks that a heap whose MinHeap x
+// Factor byte count leaves the int64 range is rejected with an error
+// naming the overflow, rather than wrapping negative during sizing —
+// and that non-finite factors are rejected too.
+func TestValidateRejectsOverflowingSize(t *testing.T) {
+	for _, f := range []float64{1e15, math.MaxFloat64, math.Inf(1), math.NaN()} {
+		c := Config{MinHeap: 96 << 20, Factor: f}.WithDefaults()
+		if err := c.Validate(); err == nil {
+			t.Errorf("Factor %v accepted", f)
+		}
+	}
+	err := Config{MinHeap: 96 << 20, Factor: 1e15}.WithDefaults().Validate()
+	if err == nil || !strings.Contains(err.Error(), "int64") {
+		t.Errorf("overflow error = %v, want it to name the int64 range", err)
+	}
+	// The largest factor that still fits sizes a heap with non-negative
+	// spaces.
+	f := float64(math.MaxInt64/2) / float64(96<<20)
+	c := Config{MinHeap: 96 << 20, Factor: f}.WithDefaults()
+	if err := c.Validate(); err != nil {
+		t.Fatalf("in-range factor %v rejected: %v", f, err)
+	}
+	if h := New(c); h.TotalSize() <= 0 || h.SurvivorSize() <= 0 || h.OldSize() <= 0 {
+		t.Errorf("in-range heap sized to total %d survivor %d old %d", h.TotalSize(), h.SurvivorSize(), h.OldSize())
 	}
 }
 

@@ -1,13 +1,11 @@
-// Package report renders experiment results as aligned ASCII tables, CSV,
-// and simple ASCII line charts — the output layer for cmd/figures and the
-// examples.
+// Package report renders experiment results as aligned ASCII tables and
+// CSV — the output layer for plan reports, the CLIs and the examples.
 package report
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -92,86 +90,6 @@ func (t *Table) String() string {
 	var b strings.Builder
 	t.WriteASCII(&b)
 	return b.String()
-}
-
-// Series is one named line in a chart.
-type Series struct {
-	Name   string
-	Points []float64
-}
-
-// Chart is a minimal ASCII line chart over a shared X axis, for quick
-// visual checks of figure shapes in the terminal.
-type Chart struct {
-	Title  string
-	XLabel string
-	XTicks []string
-	Series []Series
-	Height int // rows; default 12
-}
-
-// WriteASCII renders the chart.
-func (c *Chart) WriteASCII(w io.Writer) error {
-	height := c.Height
-	if height <= 0 {
-		height = 12
-	}
-	width := 0
-	for _, s := range c.Series {
-		if len(s.Points) > width {
-			width = len(s.Points)
-		}
-	}
-	if width == 0 {
-		_, err := fmt.Fprintf(w, "%s\n(no data)\n", c.Title)
-		return err
-	}
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, s := range c.Series {
-		for _, p := range s.Points {
-			min = math.Min(min, p)
-			max = math.Max(max, p)
-		}
-	}
-	if max == min {
-		max = min + 1
-	}
-	// Each series gets a marker letter.
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width*6))
-	}
-	for si, s := range c.Series {
-		marker := byte('a' + si%26)
-		for xi, p := range s.Points {
-			y := int(math.Round((p - min) / (max - min) * float64(height-1)))
-			row := height - 1 - y
-			col := xi * 6
-			if grid[row][col] == ' ' {
-				grid[row][col] = marker
-			} else {
-				grid[row][col] = '*' // overlap
-			}
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s  (min=%.3g max=%.3g)\n", c.Title, min, max)
-	for _, row := range grid {
-		fmt.Fprintf(&b, "| %s\n", string(row))
-	}
-	b.WriteString("+" + strings.Repeat("-", width*6+1) + "\n ")
-	for _, tick := range c.XTicks {
-		fmt.Fprintf(&b, " %-5s", tick)
-	}
-	b.WriteByte('\n')
-	for si, s := range c.Series {
-		fmt.Fprintf(&b, "  %c = %s\n", byte('a'+si%26), s.Name)
-	}
-	if c.XLabel != "" {
-		fmt.Fprintf(&b, "  x: %s\n", c.XLabel)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // FormatCount renders large counts compactly (12.3k, 4.5M).

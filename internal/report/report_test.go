@@ -69,37 +69,6 @@ func TestNoteRendered(t *testing.T) {
 	}
 }
 
-func TestChart(t *testing.T) {
-	ch := &Chart{
-		Title:  "Fig 2",
-		XTicks: []string{"4", "8", "16"},
-		Series: []Series{
-			{Name: "mutator", Points: []float64{100, 55, 30}},
-			{Name: "gc", Points: []float64{2, 3, 4}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := ch.WriteASCII(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Fig 2", "a = mutator", "b = gc", "min=2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("chart missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestChartEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (&Chart{Title: "empty"}).WriteASCII(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "no data") {
-		t.Error("empty chart not flagged")
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if FormatCount(999) != "999" {
 		t.Error(FormatCount(999))

@@ -24,6 +24,16 @@ func TestHeapTooSmallSurfacesOOM(t *testing.T) {
 	}
 }
 
+// TestHugeHeapFactorRejected pins that a heap factor whose heap would
+// overflow int64 bytes fails the run up front with the heap's own
+// validation error instead of sizing negative spaces.
+func TestHugeHeapFactorRejected(t *testing.T) {
+	_, err := Run(workload.XalanSpec().Scale(0.02), Config{Threads: 2, Seed: 1, HeapFactor: 1e15})
+	if err == nil || !strings.Contains(err.Error(), "int64") {
+		t.Errorf("HeapFactor 1e15: err = %v, want the heap overflow rejection", err)
+	}
+}
+
 func TestLargerHeapMeansFewerCollections(t *testing.T) {
 	spec := workload.XalanSpec().Scale(0.2)
 	small, err := Run(spec, Config{Threads: 8, Seed: 1, HeapFactor: 2})

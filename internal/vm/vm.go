@@ -34,8 +34,8 @@ type Config struct {
 	// 4-socket Opteron 6168 testbed.
 	Machine machine.Config
 	// MachineName selects a registered machine model by name
-	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw", or a user
-	// registration); when set it overrides Machine with the model's
+	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw",
+	// "opteron-6168-flat", or a user registration); when set it overrides Machine with the model's
 	// configuration and installs the model's topology hooks. Empty with a
 	// zero Machine resolves to the default model; empty with an explicit
 	// Machine keeps that anonymous configuration.
@@ -603,7 +603,17 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 	// TLABs adapt to the eden share per thread, as HotSpot does; with
 	// compartments enabled, each eden slice must accommodate every thread
 	// mapped to it, so the TLAB shrinks accordingly.
-	edenEstimate := int64(float64(spec.MinHeapBytes())*cfg.HeapFactor) / 3 * 8 / 10
+	hcfg := heap.Config{
+		MinHeap:       spec.MinHeapBytes(),
+		Factor:        cfg.HeapFactor,
+		NewRatio:      cfg.NewRatio,
+		SurvivorRatio: cfg.SurvivorRatio,
+		Compartments:  cfg.Compartments,
+	}
+	if err := hcfg.WithDefaults().Validate(); err != nil {
+		return nil, fmt.Errorf("vm: %w", err)
+	}
+	edenEstimate := int64(float64(hcfg.MinHeap)*hcfg.Factor) / 3 * 8 / 10
 	threadsPerComp := (cfg.Threads + cfg.Compartments - 1) / cfg.Compartments
 	slice := edenEstimate / int64(cfg.Compartments)
 	tlab := slice / int64(threadsPerComp*8)
@@ -613,14 +623,8 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 	if tlab > 64<<10 {
 		tlab = 64 << 10
 	}
-	hp := heap.New(heap.Config{
-		MinHeap:       spec.MinHeapBytes(),
-		Factor:        cfg.HeapFactor,
-		NewRatio:      cfg.NewRatio,
-		SurvivorRatio: cfg.SurvivorRatio,
-		TLABSize:      tlab,
-		Compartments:  cfg.Compartments,
-	})
+	hcfg.TLABSize = tlab
+	hp := heap.New(hcfg)
 
 	reg := objmodel.NewRegistry(registryCapacity(spec, cfg, arrivalProc != nil))
 	collector := gc.NewWithPolicy(gcPolicy, cfg.GC, hp, reg)

@@ -16,20 +16,30 @@ func TestServerSpecValid(t *testing.T) {
 }
 
 func TestExtensionsNotInAll(t *testing.T) {
-	// The paper's experiment set must stay exactly the six benchmarks.
-	for _, s := range All() {
-		for _, e := range Extensions() {
-			if s.Name == e.Name {
-				t.Errorf("extension %s leaked into All()", e.Name)
-			}
+	// The paper's experiment set must stay exactly the six benchmarks:
+	// every registered workload outside it is an extension.
+	paper := map[string]bool{}
+	for _, s := range PaperSet() {
+		paper[s.Name] = true
+	}
+	extensions := 0
+	for _, s := range Registered() {
+		if paper[s.Name] != IsPaperBenchmark(s.Name) {
+			t.Errorf("%s: in PaperSet %v, IsPaperBenchmark %v", s.Name, paper[s.Name], IsPaperBenchmark(s.Name))
 		}
+		if !paper[s.Name] {
+			extensions++
+		}
+	}
+	if len(paper) != 6 || extensions == 0 {
+		t.Errorf("paper set %d, extensions %d", len(paper), extensions)
 	}
 }
 
 func TestByNameFindsExtensions(t *testing.T) {
-	s, ok := ByName("server")
+	s, ok := Lookup("server")
 	if !ok || s.Name != "server" {
-		t.Error("ByName(server) failed")
+		t.Error("Lookup(server) failed")
 	}
 }
 

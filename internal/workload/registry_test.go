@@ -60,14 +60,14 @@ func TestRegisterValidatesAndRejectsDuplicates(t *testing.T) {
 		t.Errorf("duplicate register error = %v", err)
 	}
 	// User registrations are part of the catalog but never the paper set.
-	inExt := false
-	for _, s := range Extensions() {
+	inCatalog := false
+	for _, s := range Registered() {
 		if s.Name == custom.Name {
-			inExt = true
+			inCatalog = true
 		}
 	}
-	if !inExt {
-		t.Error("user registration missing from Extensions()")
+	if !inCatalog || IsPaperBenchmark(custom.Name) {
+		t.Errorf("user registration: in catalog %v, paper benchmark %v; want true, false", inCatalog, IsPaperBenchmark(custom.Name))
 	}
 }
 

@@ -6,7 +6,7 @@
 // structure — how work units are distributed across threads, how much each
 // unit computes, what it allocates, when those objects die, and which
 // shared locks it takes. The spec parameters are chosen to mirror each
-// benchmark's published character (see DESIGN.md §5); the paper's observed
+// benchmark's published character (see docs/paper.md); the paper's observed
 // behaviors (lock scaling, lifespan stretching, GC growth) are not encoded
 // directly but emerge from running the spec on the simulated JVM.
 //

@@ -35,8 +35,15 @@
 //
 // # Reproducing the paper
 //
-//	suite := eng.Suite(javasim.ExperimentConfig{})
-//	tables, err := suite.AllArtifacts(ctx) // Fig 1a-1d, Fig 2, all tables
+//	pr, err := eng.RunPlan(ctx, javasim.PaperPlan(javasim.ExperimentConfig{}))
+//	if err != nil { ... }
+//	for _, t := range pr.Tables() { // Fig 1a-1d, Fig 2, all tables
+//		t.WriteASCII(os.Stdout)
+//	}
+//
+// The design-choice studies (heap factor, GC workers, tenuring, NUMA,
+// collector, pretenuring, seed replication) are the built-in
+// StudiesPlan. cmd/javasim runs both as -plan paper and -plan studies.
 //
 // # Workloads and declarative plans
 //
@@ -69,18 +76,19 @@
 // a plan's Machine field) selects a registered machine model —
 // "opteron-6168", the paper's testbed and the default; "sparc-t3-4", a
 // 512-hardware-thread CMT system whose strands share per-core issue
-// pipelines; or "opteron-6168-bw", the testbed with a finite per-socket
-// memory-bandwidth budget — and custom machines join through
+// pipelines; "opteron-6168-bw", the testbed with a finite per-socket
+// memory-bandwidth budget; or "opteron-6168-flat", the testbed without
+// NUMA penalties — and custom machines join through
 // RegisterMachine.
 //
 // Runs are deterministic: the same Config.Seed reproduces a run
 // bit-for-bit, whether points execute sequentially or across the worker
-// pool. Identical runs requested twice (by figures, studies, or
-// concurrent callers) simulate once and share the memoized Result. See
-// README.md for the quickstart, docs/architecture.md for the system
+// pool. Identical runs requested twice (by overlapping scenarios, plans,
+// or concurrent callers) simulate once and share the memoized Result.
+// See README.md for the quickstart, docs/architecture.md for the system
 // map, docs/paper.md for the paper-to-code mapping, and
 // docs/extending.md for custom registrations and the migration table
-// from the old free-function API.
+// for code written against the removed pre-plan APIs.
 package javasim
 
 import (
@@ -270,8 +278,13 @@ func LoadPlan(r io.Reader) (*Plan, error) { return core.LoadPlan(r) }
 
 // PaperPlan returns the paper's entire figure suite as a declarative
 // plan; the zero ExperimentConfig selects the full-scale setup.
-// Suite.AllArtifacts executes exactly this plan.
+// cmd/javasim -plan paper executes exactly this plan.
 func PaperPlan(cfg ExperimentConfig) *Plan { return core.PaperPlan(cfg) }
+
+// StudiesPlan returns the seven design-choice studies (heap factor, GC
+// workers, tenuring, NUMA, collector, pretenuring, seed replication) as
+// a declarative plan at the top of cfg's thread sweep.
+func StudiesPlan(cfg ExperimentConfig) *Plan { return core.StudiesPlan(cfg) }
 
 // NameWorkload references a registered workload by name in a Scenario.
 func NameWorkload(name string) WorkloadRef { return workload.NameRef(name) }
@@ -289,11 +302,8 @@ type (
 	Classification = core.Classification
 	// Factors is the paper's scalability-factor decomposition.
 	Factors = core.Factors
-	// ExperimentConfig parameterizes the reproduction suite.
+	// ExperimentConfig sizes the built-in plans (PaperPlan, StudiesPlan).
 	ExperimentConfig = core.ExperimentConfig
-	// Suite regenerates the paper's figures and tables through its
-	// engine's pool and cache.
-	Suite = core.Suite
 	// Table is a rendered figure or table.
 	Table = report.Table
 	// Histogram is a power-of-two bucketed distribution (lifespans,
@@ -408,33 +418,6 @@ func Fingerprint(spec Spec, cfg Config) (string, bool) { return core.Fingerprint
 func ContextWithObserver(ctx context.Context, o Observer) context.Context {
 	return core.ContextWithObserver(ctx, o)
 }
-
-// Run executes one benchmark configuration on the shared default engine.
-// Unlike earlier releases, which simulated afresh on every call, the
-// default engine memoizes: repeated identical runs may return the same
-// shared *Result, which must be treated as immutable.
-//
-// Deprecated: construct an Engine and call Engine.Run, which adds
-// context cancellation, bounded parallelism, memoization, and progress
-// observation.
-func Run(spec Spec, cfg Config) (*Result, error) {
-	return core.DefaultEngine().Run(context.Background(), spec, cfg)
-}
-
-// RunSweep measures spec across thread counts on the shared default
-// engine. As with Run, repeated identical sweeps share memoized Results,
-// which must be treated as immutable.
-//
-// Deprecated: construct an Engine and call Engine.Sweep.
-func RunSweep(spec Spec, cfg SweepConfig) (*Sweep, error) {
-	return core.DefaultEngine().Sweep(context.Background(), spec, cfg)
-}
-
-// NewSuite builds the experiment suite that regenerates every figure and
-// table from the paper, bound to the shared default engine.
-//
-// Deprecated: construct an Engine and call Engine.Suite.
-func NewSuite(cfg ExperimentConfig) *Suite { return core.NewSuite(cfg) }
 
 // NewLockProfiler returns an empty DTrace-style lock profiler to attach to
 // Config.LockProfiler.
@@ -613,6 +596,9 @@ const (
 	// MachineOpteron6168BW is the Opteron testbed with a finite
 	// per-socket memory-bandwidth budget.
 	MachineOpteron6168BW = machine.ModelOpteronBW
+	// MachineOpteron6168Flat is the Opteron testbed with uniform memory:
+	// no remote-access or migration penalty.
+	MachineOpteron6168Flat = machine.ModelOpteronFlat
 )
 
 // RegisterMachine adds a machine model to the registry, making it
@@ -707,26 +693,6 @@ const (
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 )
-
-// Benchmarks returns the six DaCapo-9.12 workload models in the paper's
-// order: the scalable trio, then the non-scalable trio.
-//
-// Deprecated: use PaperBenchmarks, which reads the same six models from
-// the workload registry (see also Workloads for the whole catalog).
-func Benchmarks() []Spec { return workload.PaperSet() }
-
-// ExtensionBenchmarks returns workloads beyond the paper's six (e.g. the
-// "server" model used by the future-work studies).
-//
-// Deprecated: use Workloads for the whole registered catalog, or
-// LookupWorkload for one model.
-func ExtensionBenchmarks() []Spec { return workload.Extensions() }
-
-// BenchmarkByName looks up a workload by name.
-//
-// Deprecated: use LookupWorkload, which resolves any registered workload
-// (built-in or user-registered) through the registry.
-func BenchmarkByName(name string) (Spec, bool) { return workload.Lookup(name) }
 
 // PaperScalable reports the paper's published classification for a
 // benchmark name.

@@ -231,11 +231,12 @@ func TestFacadePolicyPlanFile(t *testing.T) {
 	}
 }
 
-func TestFacadeSweepAndSuite(t *testing.T) {
+func TestFacadeSweepAndPaperPlan(t *testing.T) {
 	eng := javasim.NewEngine()
 	spec, _ := javasim.LookupWorkload("jython")
 	sw, err := eng.Sweep(context.Background(), spec.Scale(0.02), javasim.SweepConfig{
 		ThreadCounts: []int{2, 4},
+		Base:         javasim.Config{Seed: 42},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,16 +244,21 @@ func TestFacadeSweepAndSuite(t *testing.T) {
 	if len(sw.Points) != 2 {
 		t.Errorf("points = %d", len(sw.Points))
 	}
-	suite := eng.Suite(javasim.ExperimentConfig{
+	pr, err := eng.RunPlan(context.Background(), javasim.PaperPlan(javasim.ExperimentConfig{
 		ThreadCounts: []int{2, 4},
 		Scale:        0.02,
-	})
-	tb, err := suite.Fig1a(context.Background())
+		Seed:         42,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 6 {
-		t.Errorf("fig1a rows = %d", len(tb.Rows))
+	if tb := pr.Reports[0]; len(tb.Rows) != 6 || !strings.Contains(tb.Title, "Figure 1a") {
+		t.Errorf("fig1a: %q with %d rows", tb.Title, len(tb.Rows))
+	}
+	// The paper plan's jython sweep is the one simulated above, served
+	// from the engine's cache.
+	if got := pr.Scenario("jython").Sweep(); got.Points[0].Result != sw.Points[0].Result {
+		t.Error("paper plan re-simulated a point the engine had memoized")
 	}
 }
 
