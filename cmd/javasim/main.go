@@ -216,6 +216,7 @@ func main() {
 	if prof != nil {
 		fmt.Println()
 		prof.Report(os.Stdout, 10)
+		fmt.Printf("\ncontended wait times: mean %v\n", prof.Summary().MeanWait)
 	}
 	if tw != nil {
 		if err := tw.Flush(); err != nil {

@@ -13,7 +13,7 @@
 //	curl localhost:8077/v1/plans/p0001/events          # SSE until job-done
 //	curl localhost:8077/v1/plans/p0001/artifacts?format=text
 //
-// See docs/serving.md for the full API, store layout, and sharding.
+// See docs/serving.md for the full API and store layout.
 package main
 
 import (

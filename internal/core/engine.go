@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -105,9 +106,8 @@ func WithDiskStore(s ResultStore) Option {
 }
 
 // Runner executes one simulation. The engine's default runner is
-// vm.RunContext; WithRunner substitutes a different execution substrate
-// — e.g. the serving daemon's worker-process pool, which shards sweep
-// points across child processes by fingerprint.
+// vm.RunContext; WithRunner wraps or substitutes it — e.g. to time each
+// simulation, or to inject failures in tests.
 type Runner func(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, error)
 
 // WithRunner replaces the engine's simulation executor. The runner is
@@ -292,7 +292,11 @@ func (e *Engine) Run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*v
 	}
 }
 
-// simulate acquires a worker slot and runs the VM.
+// simulate acquires a worker slot and runs the VM. A panic in the
+// runner fails this run only: it comes back as an error carrying the
+// panicking goroutine's stack, the slot is released, and the caller
+// caches nothing, so one bad simulation cannot take down a process that
+// serves many.
 func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, error) {
 	select {
 	case e.sem <- struct{}{}:
@@ -306,13 +310,23 @@ func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config
 	threads := cfg.Canonical().Threads
 	e.emit(ctx, Event{Kind: RunStarted, Workload: spec.Name, Threads: threads, Seed: cfg.Seed})
 	e.simulations.Add(1)
-	res, err := e.runner(ctx, spec, cfg)
+	res, err := e.runRecovered(ctx, spec, cfg, threads)
 	fin := Event{Kind: RunFinished, Workload: spec.Name, Threads: threads, Seed: cfg.Seed, Err: err}
 	if res != nil {
 		fin.VirtualTime = res.TotalTime
 	}
 	e.emit(ctx, fin)
 	return res, err
+}
+
+// runRecovered calls the runner, turning a panic into an error.
+func (e *Engine) runRecovered(ctx context.Context, spec workload.Spec, cfg vm.Config, threads int) (res *vm.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("core: %s at %d threads panicked: %v\n%s", spec.Name, threads, p, debug.Stack())
+		}
+	}()
+	return e.runner(ctx, spec, cfg)
 }
 
 // Sweep measures spec across the configured thread counts — or, when

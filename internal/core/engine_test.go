@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -349,5 +350,63 @@ func TestDisabledCacheStillRuns(t *testing.T) {
 	}
 	if st := e.Stats(); st.CachedResults != 0 {
 		t.Errorf("disabled cache holds %d results", st.CachedResults)
+	}
+}
+
+// panicRunner simulates normally except at 3 threads, where it panics
+// the way a model bug would.
+func panicRunner(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, error) {
+	if cfg.Threads == 3 {
+		panic("model invariant broken")
+	}
+	return vm.RunContext(ctx, spec, cfg)
+}
+
+func TestEngineRecoversRunnerPanic(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		finErrs []error
+	)
+	obs := newCountingObserver()
+	e := NewEngine(WithParallelism(1), WithRunner(panicRunner), WithObserver(obs),
+		WithObserver(ObserverFunc(func(ev Event) {
+			if ev.Kind == RunFinished {
+				mu.Lock()
+				finErrs = append(finErrs, ev.Err)
+				mu.Unlock()
+			}
+		})))
+	spec := testSpec(t, "xalan", 0.02)
+	bad := vm.Config{Threads: 3, Seed: 7}
+
+	for attempt := 1; attempt <= 2; attempt++ {
+		res, err := e.Run(context.Background(), spec, bad)
+		if err == nil || res != nil {
+			t.Fatalf("attempt %d: panicking run returned (%v, %v), want an error", attempt, res, err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "model invariant broken") || !strings.Contains(msg, "panicRunner") {
+			t.Errorf("attempt %d: error lacks the panic value or the stack: %s", attempt, msg)
+		}
+		// Nothing was cached: the retry simulates again.
+		if got := obs.count(RunStarted); got != attempt {
+			t.Errorf("attempt %d: %d simulations started, want %d", attempt, got, attempt)
+		}
+	}
+	if st := e.Stats(); st.CachedResults != 0 {
+		t.Errorf("a failed run was cached: %+v", st)
+	}
+	mu.Lock()
+	if len(finErrs) != 2 || finErrs[0] == nil || finErrs[1] == nil {
+		t.Errorf("RunFinished errors = %v, want two non-nil", finErrs)
+	}
+	mu.Unlock()
+
+	// The single worker slot was released: a healthy run still completes.
+	if _, err := e.Run(context.Background(), spec, vm.Config{Threads: 2, Seed: 7}); err != nil {
+		t.Fatalf("engine unusable after a recovered panic: %v", err)
+	}
+	if got := obs.maxInFlight(); got != 1 {
+		t.Errorf("max in flight = %d, want 1", got)
 	}
 }

@@ -190,9 +190,8 @@ type Bucket struct {
 
 // histogramJSON is the wire form of a Histogram: every internal field,
 // with the count array stored sparsely as (bucket, count) pairs. It
-// exists so results carrying histograms can cross process boundaries
-// (the on-disk result store, sweep-shard workers) and come back
-// DeepEqual to the original.
+// exists so results carrying histograms can round-trip through the
+// on-disk result store and come back DeepEqual to the original.
 type histogramJSON struct {
 	Name    string        `json:",omitempty"`
 	Buckets []bucketCount `json:",omitempty"`

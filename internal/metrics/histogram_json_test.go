@@ -8,7 +8,7 @@ import (
 
 // TestHistogramJSONRoundTrip verifies that a marshal/unmarshal cycle
 // reproduces the histogram exactly — the property the on-disk result
-// store and the sweep-shard worker protocol depend on.
+// store depends on.
 func TestHistogramJSONRoundTrip(t *testing.T) {
 	cases := map[string]*Histogram{
 		"empty": NewHistogram("empty"),

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -424,62 +423,12 @@ func TestServeRejectsUnbuildableHeapFactor(t *testing.T) {
 	}
 }
 
-// startPipeWorkers runs n RunWorker loops in-process over pipes and
-// returns a pool routed at them — the whole shard protocol without
-// processes.
-func startPipeWorkers(t *testing.T, n int) *WorkerPool {
-	t.Helper()
-	procs := make([]*workerProc, n)
-	for i := range procs {
-		reqR, reqW := io.Pipe()
-		respR, respW := io.Pipe()
-		go func() {
-			if err := RunWorker(context.Background(), reqR, respW); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-			respW.Close()
-		}()
-		procs[i] = &workerProc{enc: json.NewEncoder(reqW), dec: json.NewDecoder(respR), closer: reqW}
-	}
-	pool := newPipePool(procs, t.Logf)
-	t.Cleanup(func() { pool.Close() })
-	return pool
-}
-
-func TestWorkerProtocolMatchesInProcess(t *testing.T) {
-	spec, _ := workload.Lookup("xalan")
-	spec = spec.Scale(0.02)
-	pool := startPipeWorkers(t, 3)
-
-	eng := core.NewEngine(core.WithRunner(pool.Run))
-	sw, err := eng.Sweep(context.Background(), spec, core.SweepConfig{
-		ThreadCounts: []int{2, 4}, Base: vm.Config{Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.NewEngine().Sweep(context.Background(), spec, core.SweepConfig{
-		ThreadCounts: []int{2, 4}, Base: vm.Config{Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Points {
-		if !reflect.DeepEqual(ref.Points[i].Result, sw.Points[i].Result) {
-			t.Errorf("point %d: worker-simulated result diverges from in-process", i)
-		}
-	}
-	if cs := eng.CacheStats(); cs.Misses != int64(len(ref.Points)) {
-		t.Errorf("sharded sweep recorded %d misses, want %d", cs.Misses, len(ref.Points))
-	}
-}
-
 // TestServeRePostSnapshotStoreHit pins the warm-start store contract:
-// results produced down the snapshot path (sharded workers with their
-// per-worker tape cache) must land in the content-addressed store under
-// the same fingerprints cold runs would use, so a re-POST of the plan to
-// a fresh daemon over the same store is answered entirely from disk —
-// zero engine misses, zero simulations.
+// results produced down the snapshot path (Engine.Sweep replays one
+// shared workload tape for every point) must land in the
+// content-addressed store under the same fingerprints cold runs would
+// use, so a re-POST of the plan to a fresh daemon over the same store is
+// answered entirely from disk — zero engine misses, zero simulations.
 func TestServeRePostSnapshotStoreHit(t *testing.T) {
 	dir := t.TempDir()
 
@@ -487,19 +436,18 @@ func TestServeRePostSnapshotStoreHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := startPipeWorkers(t, 2)
-	eng1 := core.NewEngine(core.WithDiskStore(st1), core.WithRunner(pool.Run))
+	eng1 := core.NewEngine(core.WithDiskStore(st1))
 	srv1, ts1 := newTestServer(t, Options{Engine: eng1, Store: st1})
 	j := submit(t, ts1.URL, testPlan)
 	_, terminal := consumeSSE(t, ts1.URL, j.ID)
 	if terminal.State != StateDone || terminal.Simulated != testPlanPoints {
-		t.Fatalf("sharded warm run: %+v", terminal)
+		t.Fatalf("warm run: %+v", terminal)
 	}
 	text1 := artifactsText(t, ts1.URL, j.ID)
-	// The worker-warm results must render exactly what a fresh in-process
-	// engine produces — snapshots change no bytes anywhere.
+	// The warm results must render exactly what a fresh engine produces —
+	// snapshots change no bytes anywhere.
 	if ref := renderCLI(t, testPlan); text1 != ref {
-		t.Errorf("worker snapshot-path artifacts diverge from in-process rendering:\n--- daemon ---\n%s\n--- cli ---\n%s", text1, ref)
+		t.Errorf("snapshot-path artifacts diverge from a fresh engine's rendering:\n--- daemon ---\n%s\n--- cli ---\n%s", text1, ref)
 	}
 	if err := srv1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -534,43 +482,35 @@ func TestServeRePostSnapshotStoreHit(t *testing.T) {
 	}
 }
 
-func TestWorkerErrorPropagates(t *testing.T) {
-	pool := startPipeWorkers(t, 1)
-	spec, _ := workload.Lookup("xalan")
-	spec = spec.Scale(0.02)
-	// Invalid config errors inside the worker and must come back as an
-	// error, not a broken pipe.
-	_, err := pool.Run(context.Background(), spec, vm.Config{Threads: -1, Seed: 7})
-	if err == nil {
-		t.Fatal("invalid config did not error through the worker")
+// TestServePanickingRunFailsJobOnly checks that a simulation panic
+// fails the job that ran it, not the daemon: the job ends failed with
+// the panic in its error, and the service keeps answering.
+func TestServePanickingRunFailsJobOnly(t *testing.T) {
+	panicky := func(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, error) {
+		if cfg.Threads == 4 {
+			panic("model invariant broken")
+		}
+		return vm.RunContext(ctx, spec, cfg)
 	}
-	// The transport survives an application error: the next run works.
-	res, err := pool.Run(context.Background(), spec, vm.Config{Threads: 2, Seed: 7})
-	if err != nil || res == nil {
-		t.Fatalf("worker unusable after an application error: %v", err)
+	_, ts := newTestServer(t, Options{Engine: core.NewEngine(core.WithRunner(panicky))})
+	j := submit(t, ts.URL, testPlan)
+	_, terminal := consumeSSE(t, ts.URL, j.ID)
+	if terminal.State != StateFailed {
+		t.Fatalf("job with a panicking run: state %q, want %q", terminal.State, StateFailed)
 	}
-}
+	if !strings.Contains(terminal.Error, "model invariant broken") {
+		t.Errorf("job error does not carry the panic: %q", terminal.Error)
+	}
 
-func TestWorkerFailureFallsBackInProcess(t *testing.T) {
-	reqR, reqW := io.Pipe()
-	respR, _ := io.Pipe()
-	// No worker on the far side: the first exchange hangs unless we tear
-	// it down, so break it immediately — every run must fall back.
-	reqR.Close()
-	reqW.Close()
-	pool := newPipePool([]*workerProc{{enc: json.NewEncoder(reqW), dec: json.NewDecoder(respR), closer: reqW}}, t.Logf)
-
-	spec, _ := workload.Lookup("xalan")
-	spec = spec.Scale(0.02)
-	res, err := pool.Run(context.Background(), spec, vm.Config{Threads: 2, Seed: 7})
-	if err != nil || res == nil {
-		t.Fatalf("broken worker did not fall back: %v", err)
-	}
-	ref, err := vm.Run(spec, vm.Config{Threads: 2, Seed: 7})
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref, res) {
-		t.Error("fallback result diverges from direct simulation")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after a panic: status %d", resp.StatusCode)
+	}
+	if st := getStats(t, ts.URL); st.Jobs[StateFailed] != 1 {
+		t.Errorf("stats after a panic: jobs %v, want 1 failed", st.Jobs)
 	}
 }

@@ -395,9 +395,9 @@ func WithCache(entries int) Option { return core.WithCache(entries) }
 func WithDiskCache(s ResultStore) Option { return core.WithDiskStore(s) }
 
 // WithRunner replaces the engine's simulation executor (default
-// vm.RunContext run in-process). The serving daemon uses this to shard
-// simulations across worker processes. Runners must be deterministic
-// for equal (spec, canonical config) inputs.
+// vm.RunContext run in-process), e.g. to time or instrument each
+// simulation. Runners must be deterministic for equal (spec, canonical
+// config) inputs.
 func WithRunner(r Runner) Option { return core.WithRunner(r) }
 
 // OpenStore creates (if needed) and opens the content-addressed on-disk
@@ -406,9 +406,8 @@ func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 
 // Fingerprint returns the content hash identifying one (spec,
 // canonical config) run everywhere results are shared — the in-memory
-// cache, the disk store, and the serving daemon's shard protocol. The
-// second return is false for runs that cannot be cached (those carrying
-// a TraceSink or LockProfiler).
+// cache and the disk store. The second return is false for runs that
+// cannot be cached (those carrying a TraceSink or LockProfiler).
 func Fingerprint(spec Spec, cfg Config) (string, bool) { return core.Fingerprint(spec, cfg) }
 
 // ContextWithObserver returns a context that routes every engine event
