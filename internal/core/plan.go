@@ -563,12 +563,12 @@ func (rs *ReportSpec) compareScenarios() []string {
 }
 
 // validate checks a report against the plan's scenario set.
-func (rs *ReportSpec) validate(scenarios map[string]bool) error {
+func (rs *ReportSpec) validate(scenarios map[string]*Scenario) error {
 	if rs.Name == "" {
 		return fmt.Errorf("core: report with empty name")
 	}
 	ref := func(name string) error {
-		if !scenarios[name] {
+		if scenarios[name] == nil {
 			return fmt.Errorf("core: report %q references unknown scenario %q", rs.Name, name)
 		}
 		return nil
@@ -684,33 +684,34 @@ func (p *Plan) Validate() error {
 	if err := machine.ValidateModel(p.Machine); err != nil {
 		return fmt.Errorf("core: plan %q: %w", p.Name, err)
 	}
-	names := make(map[string]bool, len(p.Scenarios))
+	// byName indexes the scenarios once for every report check below.
+	byName := make(map[string]*Scenario, len(p.Scenarios))
 	for i := range p.Scenarios {
 		sc := &p.Scenarios[i]
 		if err := sc.validate(p); err != nil {
 			return err
 		}
-		if names[sc.Name] {
+		if byName[sc.Name] != nil {
 			return fmt.Errorf("core: duplicate scenario name %q", sc.Name)
 		}
-		names[sc.Name] = true
+		byName[sc.Name] = sc
 	}
 	reports := make(map[string]bool, len(p.Reports))
 	for i := range p.Reports {
 		rs := &p.Reports[i]
-		if err := rs.validate(names); err != nil {
+		if err := rs.validate(byName); err != nil {
 			return err
 		}
 		if reports[rs.Name] {
 			return fmt.Errorf("core: duplicate report name %q", rs.Name)
 		}
 		reports[rs.Name] = true
-		if err := p.checkTrafficRefs(rs); err != nil {
+		if err := p.checkTrafficRefs(rs, byName); err != nil {
 			return err
 		}
 		switch rs.Kind {
 		case ReportSeries:
-			if err := p.checkSeriesCounts(rs); err != nil {
+			if err := p.checkSeriesCounts(rs, byName); err != nil {
 				return err
 			}
 		case ReportLifespanCDF:
@@ -722,11 +723,11 @@ func (p *Plan) Validate() error {
 				return err
 			}
 		case ReportGoodput:
-			if err := p.checkGoodputRates(rs); err != nil {
+			if err := p.checkGoodputRates(rs, byName); err != nil {
 				return err
 			}
 		case ReportUSL:
-			if err := p.checkUSLCounts(rs); err != nil {
+			if err := p.checkUSLCounts(rs, byName); err != nil {
 				return err
 			}
 		}
@@ -737,11 +738,7 @@ func (p *Plan) Validate() error {
 // checkTrafficRefs enforces the axis split between report kinds: goodput
 // reports read rate sweeps, every other kind reads thread sweeps, and a
 // report referencing the wrong scenario flavor would render nonsense.
-func (p *Plan) checkTrafficRefs(rs *ReportSpec) error {
-	byName := make(map[string]*Scenario, len(p.Scenarios))
-	for i := range p.Scenarios {
-		byName[p.Scenarios[i].Name] = &p.Scenarios[i]
-	}
+func (p *Plan) checkTrafficRefs(rs *ReportSpec, byName map[string]*Scenario) error {
 	names := p.reportScenarios(rs)
 	if rs.Kind == ReportCompare && (rs.Baseline != "" || rs.Modified != "") {
 		names = rs.compareScenarios()
@@ -763,11 +760,7 @@ func (p *Plan) checkTrafficRefs(rs *ReportSpec) error {
 
 // checkGoodputRates rejects goodput reports whose scenarios sweep
 // different rate grids: their rows would compare unlike offered loads.
-func (p *Plan) checkGoodputRates(rs *ReportSpec) error {
-	byName := make(map[string]*Scenario, len(p.Scenarios))
-	for i := range p.Scenarios {
-		byName[p.Scenarios[i].Name] = &p.Scenarios[i]
-	}
+func (p *Plan) checkGoodputRates(rs *ReportSpec, byName map[string]*Scenario) error {
 	picked := p.reportScenarios(rs)
 	var first []float64
 	for i, name := range picked {
@@ -792,11 +785,7 @@ func (p *Plan) checkGoodputRates(rs *ReportSpec) error {
 // two shape parameters plus the throughput scale, fewer than
 // fit.MinPoints points is an interpolation, and the typo surfaces
 // before simulating rather than as a fit error mid-plan.
-func (p *Plan) checkUSLCounts(rs *ReportSpec) error {
-	byName := make(map[string]*Scenario, len(p.Scenarios))
-	for i := range p.Scenarios {
-		byName[p.Scenarios[i].Name] = &p.Scenarios[i]
-	}
+func (p *Plan) checkUSLCounts(rs *ReportSpec, byName map[string]*Scenario) error {
 	for _, name := range p.reportScenarios(rs) {
 		sc := byName[name]
 		if sc == nil || sc.Traffic != nil {
@@ -879,11 +868,7 @@ func (p *Plan) reportScenarios(rs *ReportSpec) []string {
 
 // checkSeriesCounts rejects series reports whose scenarios sweep
 // different thread counts: their rows would not share columns.
-func (p *Plan) checkSeriesCounts(rs *ReportSpec) error {
-	byName := make(map[string]*Scenario, len(p.Scenarios))
-	for i := range p.Scenarios {
-		byName[p.Scenarios[i].Name] = &p.Scenarios[i]
-	}
+func (p *Plan) checkSeriesCounts(rs *ReportSpec, byName map[string]*Scenario) error {
 	picked := p.reportScenarios(rs)
 	var first []int
 	for i, name := range picked {

@@ -13,8 +13,8 @@ func BenchmarkCollectMinor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
-		reg := objmodel.NewRegistry(10000)
-		c := New(Config{Workers: 8}, h, reg)
+		reg := objmodel.NewRegistry()
+		c := mustNew(nil, Config{Workers: 8}, h, reg)
 		for j := 0; j < 10000; j++ {
 			id := reg.Alloc(128, 0)
 			c.OnAlloc(id, 0)
@@ -42,8 +42,8 @@ func BenchmarkGCPolicy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
-				reg := objmodel.NewRegistry(10000)
-				c := NewWithPolicy(p, Config{Workers: 8}, h, reg)
+				reg := objmodel.NewRegistry()
+				c := mustNew(p, Config{Workers: 8}, h, reg)
 				for j := 0; j < 10000; j++ {
 					id := reg.Alloc(128, 0)
 					c.OnAlloc(id, 0)
@@ -66,8 +66,8 @@ func BenchmarkCollectFull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
-		reg := objmodel.NewRegistry(10000)
-		c := New(Config{Workers: 8}, h, reg)
+		reg := objmodel.NewRegistry()
+		c := mustNew(nil, Config{Workers: 8}, h, reg)
 		for j := 0; j < 10000; j++ {
 			id := reg.Alloc(256, 0)
 			c.OnAlloc(id, 0)

@@ -74,7 +74,8 @@ type SweepResult struct {
 
 // SweepOld reclaims dead old-generation objects in place — no compaction,
 // so FragmentationRatio of the freed space is lost until the next full
-// collection. It never fails: sweeping only shrinks occupancy.
+// collection — and releases their registry slots. It never fails:
+// sweeping only shrinks occupancy.
 func (c *Collector) SweepOld(now sim.Time) SweepResult {
 	var res SweepResult
 	newOld := c.old[:0]
@@ -83,6 +84,7 @@ func (c *Collector) SweepOld(now sim.Time) SweepResult {
 		if !o.Live() {
 			res.ReclaimedObjs++
 			res.ReclaimedB += int64(o.Size)
+			c.reg.Release(id)
 			continue
 		}
 		res.LiveOldBytes += int64(o.Size)

@@ -79,6 +79,11 @@ func TestSweepOldReclaimsWithFragmentation(t *testing.T) {
 	if c.OldCount() != 40 {
 		t.Errorf("old population %d after sweep, want 40", c.OldCount())
 	}
+	for i, id := range ids {
+		if released := reg.Get(id).Size == 0; released != (i < 60) {
+			t.Errorf("object %d: slot released = %v after the sweep", i, released)
+		}
+	}
 	if c.Stats().ConcCycles != 1 {
 		t.Error("cycle not counted")
 	}

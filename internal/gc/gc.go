@@ -246,6 +246,11 @@ type Collector struct {
 	spare    [][]objmodel.ID
 	promoted []objmodel.ID
 
+	// reclaimed is the reusable buffer of dead objects a collection
+	// found; their registry slots are released only once its heap commit
+	// succeeds, so a failed minor collection leaves them in place.
+	reclaimed []objmodel.ID
+
 	// survBytes tracks each compartment's share of the survivor space.
 	survBytes []int64
 
@@ -255,18 +260,18 @@ type Collector struct {
 }
 
 // New builds a collector over h and reg under the default stw-serial
-// policy. The worker count must be set (use DefaultWorkers) before any
-// collection runs.
-func New(cfg Config, h *heap.Heap, reg *objmodel.Registry) *Collector {
+// policy. The worker count must be set (use DefaultWorkers): New returns
+// an error for fewer than one worker.
+func New(cfg Config, h *heap.Heap, reg *objmodel.Registry) (*Collector, error) {
 	return NewWithPolicy(StwSerial(), cfg, h, reg)
 }
 
 // NewWithPolicy builds a collector whose pause cost model and heap
 // discipline come from p (nil selects stw-serial).
-func NewWithPolicy(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *Collector {
+func NewWithPolicy(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) (*Collector, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.Workers < 1 {
-		panic(fmt.Sprintf("gc: Workers = %d, need >= 1 (use DefaultWorkers)", cfg.Workers))
+		return nil, fmt.Errorf("gc: Workers = %d, need >= 1 (use DefaultWorkers)", cfg.Workers)
 	}
 	if p == nil {
 		p = StwSerial()
@@ -279,7 +284,7 @@ func NewWithPolicy(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *
 		young:     make([][]objmodel.ID, h.Compartments()),
 		spare:     make([][]objmodel.ID, h.Compartments()),
 		survBytes: make([]int64, h.Compartments()),
-	}
+	}, nil
 }
 
 // Policy returns the collector's collection discipline.
@@ -289,12 +294,14 @@ func (c *Collector) Policy() Policy { return c.policy }
 // (len must equal the heap's compartment count). The VM computes them
 // from the machine's NUMA latencies when a policy homes compartment
 // regions on specific sockets; factors below 1 model local evacuation
-// beating the interleaved baseline the cost model is calibrated for.
-func (c *Collector) SetCopyFactors(factors []float64) {
+// beating the interleaved baseline the cost model is calibrated for. A
+// length mismatch is an error and leaves the factors unchanged.
+func (c *Collector) SetCopyFactors(factors []float64) error {
 	if factors != nil && len(factors) != c.heap.Compartments() {
-		panic(fmt.Sprintf("gc: %d copy factors for %d compartments", len(factors), c.heap.Compartments()))
+		return fmt.Errorf("gc: %d copy factors for %d compartments", len(factors), c.heap.Compartments())
 	}
 	c.copyFactor = factors
+	return nil
 }
 
 // Config returns the defaulted configuration.
@@ -353,7 +360,8 @@ func (c *Collector) parallelTime(sequential sim.Time) sim.Time {
 // now. It returns the pause, or heap.ErrOldGenFull when promotion cannot
 // fit — the caller must run CollectFull and retry. On that error the
 // compartment's young list, ages and generations are as they were before
-// the call.
+// the call. On success the dead young objects' registry slots are
+// released.
 func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	var (
 		survivorBytes int64
@@ -370,11 +378,13 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	// as in HotSpot.
 	survivors := c.spare[comp][:0]
 	promoted := c.promoted[:0]
+	reclaimed := c.reclaimed[:0]
 	for _, id := range c.young[comp] {
 		o := c.reg.Get(id)
 		if !o.Live() {
 			reclaimedObjs++
 			reclaimedB += int64(o.Size)
+			reclaimed = append(reclaimed, id)
 			continue
 		}
 		scanned++
@@ -391,6 +401,7 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	// Keep the buffers' grown capacity whether or not the commit succeeds.
 	c.spare[comp] = survivors
 	c.promoted = promoted
+	c.reclaimed = reclaimed
 	if err := c.heap.CommitMinor(comp, survivorBytes, promotedBytes, c.survBytes[comp]); err != nil {
 		// Roll back aging and generation flags so the retry after a full
 		// collection observes consistent state; young[comp] itself was
@@ -405,6 +416,7 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 		}
 		return Pause{}, err
 	}
+	c.release(reclaimed)
 	c.survBytes[comp] = survivorBytes
 	c.young[comp], c.spare[comp] = survivors, c.young[comp][:0]
 	c.old = append(c.old, promoted...)
@@ -444,7 +456,8 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 // CollectFull runs a whole-heap mark-compact collection at virtual time
 // now. Live young objects are promoted (HotSpot's full collection empties
 // the young generation into old), dead objects of both generations are
-// reclaimed, and the old generation is compacted.
+// reclaimed — their registry slots released once the heap commit
+// succeeds — and the old generation is compacted.
 func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 	var (
 		liveOldBytes  int64
@@ -453,12 +466,14 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 		reclaimedObjs int64
 		reclaimedB    int64
 	)
+	reclaimed := c.reclaimed[:0]
 	newOld := c.old[:0]
 	for _, id := range c.old {
 		o := c.reg.Get(id)
 		if !o.Live() {
 			reclaimedObjs++
 			reclaimedB += int64(o.Size)
+			reclaimed = append(reclaimed, id)
 			continue
 		}
 		scanned++
@@ -472,6 +487,7 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 			if !o.Live() {
 				reclaimedObjs++
 				reclaimedB += int64(o.Size)
+				reclaimed = append(reclaimed, id)
 				continue
 			}
 			scanned++
@@ -484,9 +500,11 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 		c.young[comp] = c.young[comp][:0]
 		c.survBytes[comp] = 0
 	}
+	c.reclaimed = reclaimed
 	if err := c.heap.CommitFull(liveOldBytes); err != nil {
 		return Pause{}, err // genuine OutOfMemoryError
 	}
+	c.release(reclaimed)
 	markFixup := sim.Time(scanned) * c.cfg.ScanCostPerObject * 2 // mark + fixup passes
 	compact := sim.Time(liveOldBytes/1024) * c.cfg.CompactCostPerKB
 	phases := Breakdown{
@@ -507,6 +525,13 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 	}
 	c.record(pause)
 	return pause, nil
+}
+
+// release hands reclaimed objects' slots back to the registry.
+func (c *Collector) release(ids []objmodel.ID) {
+	for _, id := range ids {
+		c.reg.Release(id)
+	}
 }
 
 func (c *Collector) record(p Pause) {

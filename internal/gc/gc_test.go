@@ -15,9 +15,17 @@ func newWorld(minHeapMB int64, compartments int) (*heap.Heap, *objmodel.Registry
 		MinHeap: minHeapMB << 20, Factor: 3, TLABSize: 16 << 10,
 		Compartments: compartments,
 	})
-	reg := objmodel.NewRegistry(1024)
-	c := New(Config{Workers: 4}, h, reg)
-	return h, reg, c
+	reg := objmodel.NewRegistry()
+	return h, reg, mustNew(nil, Config{Workers: 4}, h, reg)
+}
+
+// mustNew is NewWithPolicy for configurations known to be valid.
+func mustNew(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *Collector {
+	c, err := NewWithPolicy(p, cfg, h, reg)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func TestDefaultWorkers(t *testing.T) {
@@ -325,8 +333,8 @@ func TestPauseCostScalesWithSurvivors(t *testing.T) {
 func TestMoreWorkersShortenPauses(t *testing.T) {
 	mk := func(workers int) Pause {
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
-		reg := objmodel.NewRegistry(1024)
-		c := New(Config{Workers: workers}, h, reg)
+		reg := objmodel.NewRegistry()
+		c := mustNew(nil, Config{Workers: workers}, h, reg)
 		for i := 0; i < 2000; i++ {
 			id := reg.Alloc(1024, 0)
 			c.OnAlloc(id, 0)
@@ -425,14 +433,115 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestNewPanicsWithoutWorkers(t *testing.T) {
+// A worker count below one is a configuration error, not a panic: the VM
+// passes it through to its caller.
+func TestNewRejectsMissingWorkers(t *testing.T) {
 	h := heap.New(heap.Config{MinHeap: 1 << 20})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Workers=0")
+	for _, workers := range []int{0, -2} {
+		if c, err := New(Config{Workers: workers}, h, objmodel.NewRegistry()); err == nil || c != nil {
+			t.Errorf("New with Workers=%d: collector %v, err %v; want an error", workers, c, err)
 		}
-	}()
-	New(Config{}, h, objmodel.NewRegistry(1))
+		if _, err := NewWithPolicy(nil, Config{Workers: workers}, h, objmodel.NewRegistry()); err == nil {
+			t.Errorf("NewWithPolicy with Workers=%d: no error", workers)
+		}
+	}
+}
+
+// Collections release exactly the registry slots of the dead objects they
+// reclaim, and only once their heap commit succeeds: a minor collection
+// that fails with ErrOldGenFull releases nothing, so its retry and the
+// full collection still find every dead object in place.
+func TestCollectionsReleaseReclaimedSlots(t *testing.T) {
+	freed := func(reg *objmodel.Registry, ids []objmodel.ID) (n int) {
+		for _, id := range ids {
+			if reg.Get(id).Size == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	slots := func(ids []objmodel.ID) map[objmodel.ID]bool {
+		m := map[objmodel.ID]bool{}
+		for _, id := range ids {
+			m[id] = true
+		}
+		return m
+	}
+
+	// Minor: the dead young objects' slots are freed and are the next
+	// ones Alloc hands out.
+	_, reg, c := newWorld(4, 1)
+	var ids []objmodel.ID
+	for i := 0; i < 100; i++ {
+		id := reg.Alloc(512, 0)
+		c.OnAlloc(id, 0)
+		ids = append(ids, id)
+	}
+	for _, id := range ids[:60] {
+		reg.Kill(id)
+	}
+	if _, err := c.CollectMinor(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := freed(reg, ids[:60]); n != 60 {
+		t.Errorf("minor freed %d of 60 dead slots", n)
+	}
+	if n := freed(reg, ids[60:]); n != 0 {
+		t.Errorf("minor freed %d live slots", n)
+	}
+	dead := slots(ids[:60])
+	for i := 0; i < 60; i++ {
+		if id := reg.Alloc(64, 0); !dead[id] {
+			t.Fatalf("Alloc %d after the minor opened slot %d instead of reusing one", i, id)
+		}
+	}
+	if reg.Count() != 160 {
+		t.Errorf("Count = %d, want 160", reg.Count())
+	}
+
+	// A failed minor frees nothing; the full collection that follows
+	// frees both generations' dead objects.
+	h, reg, c := newWorld(1, 1)
+	var young []objmodel.ID
+	for i := 0; i < 8; i++ {
+		id := reg.Alloc(512, 0)
+		c.OnAlloc(id, 0)
+		reg.Kill(id)
+		young = append(young, id)
+	}
+	var batch []objmodel.ID
+	for n := int64(0); n < h.OldSize()+h.SurvivorSize(); n += 4096 {
+		id := reg.Alloc(4096, 0)
+		c.OnAlloc(id, 0)
+		batch = append(batch, id)
+	}
+	if _, err := c.CollectMinor(0, 0); !errors.Is(err, heap.ErrOldGenFull) {
+		t.Fatalf("err = %v, want ErrOldGenFull", err)
+	}
+	if n := freed(reg, young); n != 0 {
+		t.Fatalf("failed minor freed %d dead slots", n)
+	}
+	if id := reg.Alloc(64, 0); slots(young)[id] {
+		t.Fatalf("Alloc after a failed minor reused dead slot %d", id)
+	}
+	for i := 0; i < len(batch); i += 2 {
+		reg.Kill(batch[i])
+	}
+	p, err := c.CollectFull(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := freed(reg, young); n != len(young) {
+		t.Errorf("full collection freed %d of %d dead young slots", n, len(young))
+	}
+	var deadBatch []objmodel.ID
+	for i := 0; i < len(batch); i += 2 {
+		deadBatch = append(deadBatch, batch[i])
+	}
+	if n := freed(reg, deadBatch); n != len(deadBatch) || p.ReclaimedObjs != int64(len(young)+len(deadBatch)) {
+		t.Errorf("full collection freed %d of %d dead batch slots, reclaimed %d",
+			n, len(deadBatch), p.ReclaimedObjs)
+	}
 }
 
 // Property: across random alloc/kill/collect sequences, the collector

@@ -177,9 +177,11 @@ func TestCompartmentLayout(t *testing.T) {
 func TestCopyFactorsScaleMinorCopyPhase(t *testing.T) {
 	build := func(factors []float64) (*Collector, Pause) {
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
-		reg := objmodel.NewRegistry(4096)
-		c := New(Config{Workers: 8}, h, reg)
-		c.SetCopyFactors(factors)
+		reg := objmodel.NewRegistry()
+		c := mustNew(nil, Config{Workers: 8}, h, reg)
+		if err := c.SetCopyFactors(factors); err != nil {
+			t.Fatal(err)
+		}
 		for j := 0; j < 4096; j++ {
 			id := reg.Alloc(512, 0)
 			c.OnAlloc(id, 0)
@@ -199,11 +201,11 @@ func TestCopyFactorsScaleMinorCopyPhase(t *testing.T) {
 		t.Error("copy factor leaked into scan or setup phases")
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched factor length did not panic")
-		}
-	}()
 	c, _ := build(nil)
-	c.SetCopyFactors([]float64{1, 1})
+	if err := c.SetCopyFactors([]float64{1, 1}); err == nil {
+		t.Error("mismatched factor length did not return an error")
+	}
+	if c.copyFactor != nil {
+		t.Error("a rejected factor slice was installed")
+	}
 }

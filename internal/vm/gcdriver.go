@@ -97,7 +97,6 @@ func (v *vm) billGCCopy(bytes int64) sim.Time {
 // this allocation count). It is shared by allocate and the fused-op path,
 // which reserves a whole run of TLAB allocations up front.
 func (v *vm) commitAlloc(m *mutator, op *workload.Op, pretenure bool) {
-	now := v.sim.Now()
 	id := v.reg.Alloc(op.Size, int32(m.idx))
 	if v.pret.enabled {
 		v.pret.recordAlloc(id, op.Site)
@@ -108,10 +107,12 @@ func (v *vm) commitAlloc(m *mutator, op *workload.Op, pretenure bool) {
 	} else {
 		v.gc.OnAlloc(id, m.compartment)
 	}
-	v.emitTrace(trace.Event{
-		Kind: trace.Alloc, Time: now, Thread: int32(m.idx),
-		Object: uint32(id), Size: op.Size, Clock: v.reg.Clock(),
-	})
+	if v.cfg.TraceSink != nil {
+		v.emitTrace(trace.Event{
+			Kind: trace.Alloc, Time: v.sim.Now(), Thread: int32(m.idx),
+			Object: v.reg.Get(id).Serial, Size: op.Size, Clock: v.reg.Clock(),
+		})
+	}
 
 	// Schedule the object's death, then retire anything due at this
 	// allocation count.

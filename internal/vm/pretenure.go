@@ -33,8 +33,8 @@ type pretenurer struct {
 	// long-lived; the VM sets it to the eden size — an object outliving
 	// one nursery cycle would have been copied.
 	longLifespan int64
-	// siteOf maps object ID to its allocation site (dense, parallel to
-	// the registry).
+	// siteOf maps a registry slot to the allocation site of the object
+	// in it; a reused slot's entry is overwritten at allocation.
 	siteOf []int32
 	// pretenured counts objects allocated straight to the old generation.
 	pretenured int64

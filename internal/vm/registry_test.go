@@ -9,32 +9,44 @@ import (
 	"javasim/internal/workload"
 )
 
-// TestRegistryNeverRegrows pins the object registry's pre-sizing: a run
-// allocates at most registryCapacity objects, so the registry's backing
-// array is allocated once at that capacity and never replaced (append
-// only ever grows the capacity when it reallocates).
-func TestRegistryNeverRegrows(t *testing.T) {
-	var reg *objmodel.Registry
-	registryObserver = func(r *objmodel.Registry) { reg = r }
-	defer func() { registryObserver = nil }()
-
-	check := func(name string, spec workload.Spec, cfg Config) {
+// observeRegistry installs registryObserver for the rest of the test and
+// returns a function that runs spec under cfg and hands back the result,
+// the run's registry and its heap size.
+func observeRegistry(t *testing.T) func(workload.Spec, Config) (*Result, *objmodel.Registry, int64) {
+	var (
+		reg       *objmodel.Registry
+		heapBytes int64
+	)
+	registryObserver = func(r *objmodel.Registry, h int64) { reg, heapBytes = r, h }
+	t.Cleanup(func() { registryObserver = nil })
+	return func(spec workload.Spec, cfg Config) (*Result, *objmodel.Registry, int64) {
 		t.Helper()
 		reg = nil
 		res, err := Run(spec, cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		if reg == nil {
-			t.Fatalf("%s: registry observer not called", name)
+			t.Fatalf("%s: registry observer not called", spec.Name)
 		}
-		bound := registryCapacity(spec, cfg.withDefaults(), cfg.Traffic.Open())
-		if res.ObjectsAllocated == 0 || res.ObjectsAllocated > int64(bound) {
-			t.Errorf("%s: %d objects allocated, pre-sized bound %d", name, res.ObjectsAllocated, bound)
-		}
-		if reg.Cap() != bound {
-			t.Errorf("%s: registry capacity %d at run end, pre-sized %d — the backing array was replaced",
-				name, reg.Cap(), bound)
+		return res, reg, heapBytes
+	}
+}
+
+// TestRegistryBoundedByHeap pins slot recycling: the registry holds a
+// record only while the collector tracks the object, and every tracked
+// object occupies at least 16 heap bytes, so the registry never needs more
+// than heap/16 slots (rounded up to a chunk), however many objects the
+// run allocates.
+func TestRegistryBoundedByHeap(t *testing.T) {
+	run := observeRegistry(t)
+	check := func(name string, spec workload.Spec, cfg Config) {
+		t.Helper()
+		res, reg, heapBytes := run(spec, cfg)
+		bound := (heapBytes/16 + objmodel.ChunkSize - 1) / objmodel.ChunkSize * objmodel.ChunkSize
+		if res.ObjectsAllocated == 0 || int64(reg.Cap()) > bound {
+			t.Errorf("%s: registry holds %d slots for %d objects, heap bound %d (%d heap bytes)",
+				name, reg.Cap(), res.ObjectsAllocated, bound, heapBytes)
 		}
 	}
 
@@ -51,4 +63,16 @@ func TestRegistryNeverRegrows(t *testing.T) {
 	cfg := openCfg(traffic.ProcessPoisson, 150000)
 	cfg.Traffic.Requests = server.TotalUnits / 2
 	check("server/poisson", server, cfg)
+}
+
+// TestRegistryDoesNotGrowWithIterations: six iterations allocate six
+// times the objects, but the collector tracks only what the heap holds, so
+// the registry stays a small fraction of the allocation count.
+func TestRegistryDoesNotGrowWithIterations(t *testing.T) {
+	run := observeRegistry(t)
+	res, reg, _ := run(workload.XalanSpec().Scale(0.05), Config{Threads: 8, Seed: 3, Iterations: 6})
+	if int64(reg.Cap())*5 >= res.ObjectsAllocated {
+		t.Errorf("registry holds %d slots for %d objects allocated, want under a fifth",
+			reg.Cap(), res.ObjectsAllocated)
+	}
 }

@@ -11,8 +11,10 @@
 package vm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"javasim/internal/gc"
 	"javasim/internal/heap"
@@ -626,10 +628,15 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 	hcfg.TLABSize = tlab
 	hp := heap.New(hcfg)
 
-	reg := objmodel.NewRegistry(registryCapacity(spec, cfg, arrivalProc != nil))
-	collector := gc.NewWithPolicy(gcPolicy, cfg.GC, hp, reg)
+	reg := objmodel.NewRegistry()
+	collector, err := gc.NewWithPolicy(gcPolicy, cfg.GC, hp, reg)
+	if err != nil {
+		return nil, fmt.Errorf("vm: %w", err)
+	}
 	if layout.HomeSockets != nil {
-		collector.SetCopyFactors(numaCopyFactors(mach, spanned, layout))
+		if err := collector.SetCopyFactors(numaCopyFactors(mach, spanned, layout)); err != nil {
+			return nil, fmt.Errorf("vm: %w", err)
+		}
 	}
 
 	var lockListener locks.Listener
@@ -702,32 +709,16 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 			spec.Name, v.aliveCount)
 	}
 	if registryObserver != nil {
-		registryObserver(reg)
+		registryObserver(reg, hp.TotalSize())
 	}
 	return v.result(), nil
 }
 
-// registryCapacity bounds the objects a run can allocate: the units it
-// executes times the most one unit can allocate. A closed run executes
-// TotalUnits per iteration; an open run at most one unit per offered
-// request. Sizing the registry to the bound means its backing array is
-// allocated once and never copied.
-func registryCapacity(spec workload.Spec, cfg Config, open bool) int {
-	units := spec.TotalUnits * cfg.Iterations
-	if open {
-		units = cfg.Traffic.Requests
-		if units == 0 {
-			units = spec.TotalUnits
-		}
-	}
-	return units * spec.MaxAllocsPerUnit()
-}
-
 // registryObserver, when non-nil, is handed each completed run's object
-// registry — a test hook (mirroring snapshotObserver) so tests can prove
-// the registry never outgrew its pre-sized capacity. Never set outside
-// tests.
-var registryObserver func(*objmodel.Registry)
+// registry and heap size — a test hook (mirroring snapshotObserver) so
+// tests can prove the registry stays bounded by the heap. Never set
+// outside tests.
+var registryObserver func(reg *objmodel.Registry, heapBytes int64)
 
 func (v *vm) setupLocks() {
 	if v.spec.Distribution == workload.Queue {
@@ -839,17 +830,37 @@ func (v *vm) emitTrace(ev trace.Event) {
 // kill retires an object: records its death against the allocation clock,
 // feeds the lifespan histogram, and emits the trace event.
 func (v *vm) kill(id objmodel.ID) {
-	now := v.sim.Now()
 	v.reg.Kill(id)
 	o := v.reg.Get(id)
 	v.lifespans.Add(o.Lifespan())
 	if v.pret.enabled {
 		v.pret.onDeath(id, o.Lifespan())
 	}
-	v.emitTrace(trace.Event{
-		Kind: trace.Death, Time: now, Thread: o.Thread,
-		Object: uint32(id), Clock: o.Death,
+	if v.cfg.TraceSink != nil {
+		v.emitTrace(trace.Event{
+			Kind: trace.Death, Time: v.sim.Now(), Thread: o.Thread,
+			Object: o.Serial, Clock: o.Death,
+		})
+	}
+}
+
+// retireLive kills every live object at the current clock: program exit
+// and iteration boundaries. Only a trace observes the order, so with a
+// sink attached the deaths follow allocation (Serial) order; otherwise
+// slot order is as good.
+func (v *vm) retireLive() {
+	if v.cfg.TraceSink == nil {
+		v.reg.ForEachLive(func(id objmodel.ID, _ *objmodel.Object) { v.kill(id) })
+		return
+	}
+	ids := make([]objmodel.ID, 0, v.reg.LiveCount())
+	v.reg.ForEachLive(func(id objmodel.ID, _ *objmodel.Object) { ids = append(ids, id) })
+	slices.SortFunc(ids, func(a, b objmodel.ID) int {
+		return cmp.Compare(v.reg.Get(a).Serial, v.reg.Get(b).Serial)
 	})
+	for _, id := range ids {
+		v.kill(id)
+	}
 }
 
 // result assembles the final measurement record.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"javasim/internal/gc"
 	"javasim/internal/lockprof"
 	"javasim/internal/sim"
 	"javasim/internal/trace"
@@ -232,6 +233,78 @@ func TestTraceLifespansMatchHistogram(t *testing.T) {
 	if count != res.Lifespans.Total() || sum != res.Lifespans.Sum() {
 		t.Errorf("trace lifespans (n=%d sum=%d) != histogram (n=%d sum=%d)",
 			count, sum, res.Lifespans.Total(), res.Lifespans.Sum())
+	}
+}
+
+// TestTraceObjectIDsAreSerials pins the trace's object naming now that
+// registry slots are reused: Alloc events name objects 0, 1, 2, ... in
+// order, and each Death names an object already born and not yet dead.
+// The end-of-run retirement, after the last ThreadEnd, kills in allocation
+// order. Every configuration must actually reuse slots, or the test pins
+// nothing.
+func TestTraceObjectIDsAreSerials(t *testing.T) {
+	run := observeRegistry(t)
+	xalan := smallSpec()
+	for _, tc := range []struct {
+		name string
+		spec workload.Spec
+		cfg  Config
+	}{
+		{"xalan", xalan, Config{Threads: 4, Seed: 1}},
+		{"xalan/iterations=3", xalan, Config{Threads: 8, Seed: 3, Iterations: 3}},
+		{"h2/concurrent", workload.H2Spec().Scale(0.1), Config{Threads: 8, Seed: 5, GCPolicy: gc.PolicyConcurrent}},
+		{"xalan/pretenuring", xalan, Config{Threads: 4, Seed: 3, Pretenuring: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sink trace.MemorySink
+			tc.cfg.TraceSink = &sink
+			res, reg, _ := run(tc.spec, tc.cfg)
+			if int64(reg.Cap()) >= res.ObjectsAllocated {
+				t.Fatalf("registry holds %d slots for %d objects: no slot was reused", reg.Cap(), res.ObjectsAllocated)
+			}
+			var born uint32
+			dead := map[uint32]bool{}
+			lastEnd := 0
+			for i, ev := range sink.Events {
+				if ev.Kind == trace.ThreadEnd {
+					lastEnd = i
+				}
+			}
+			var last uint32
+			for i, ev := range sink.Events {
+				switch ev.Kind {
+				case trace.Alloc:
+					if ev.Object != born {
+						t.Fatalf("event %d: Alloc names object %d, want %d", i, ev.Object, born)
+					}
+					born++
+				case trace.Death:
+					if ev.Object >= born || dead[ev.Object] {
+						t.Fatalf("event %d: Death of object %d (born %d, already dead %v)",
+							i, ev.Object, born, dead[ev.Object])
+					}
+					dead[ev.Object] = true
+					if i > lastEnd {
+						if ev.Object < last {
+							t.Fatalf("event %d: retirement kills object %d after %d", i, ev.Object, last)
+						}
+						last = ev.Object
+					}
+				}
+			}
+			if int64(born) != res.ObjectsAllocated || int64(len(dead)) != res.ObjectsAllocated {
+				t.Errorf("%d allocs and %d deaths traced, %d objects allocated", born, len(dead), res.ObjectsAllocated)
+			}
+		})
+	}
+}
+
+// A negative GC worker count is a configuration error returned to the
+// caller, not a panic inside the collector's constructor.
+func TestRunRejectsNegativeGCWorkers(t *testing.T) {
+	_, err := Run(smallSpec(), Config{Threads: 4, Seed: 1, GC: gc.Config{Workers: -2}})
+	if err == nil || !strings.Contains(err.Error(), "Workers = -2") {
+		t.Errorf("err = %v, want the collector's worker-count error", err)
 	}
 }
 

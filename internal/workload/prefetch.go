@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 )
 
 // Prefetched generation
@@ -85,6 +87,11 @@ type prefetch struct {
 // test hook for injecting producer panics. Never set outside tests.
 var prefetchHook func()
 
+// producerLabels tags every producer goroutine with the pprof label
+// javasim=prefetch, so a CPU profile splits off-path generation from the
+// simulation goroutine (go tool pprof -tagfocus javasim=prefetch).
+var producerLabels = pprof.WithLabels(context.Background(), pprof.Labels("javasim", "prefetch"))
+
 // Prefetch starts drawing the run's remaining units on a producer
 // goroutine. It reports whether the producer started: it does not when a
 // tape is attached, when the run does not recycle unit buffers (see
@@ -125,6 +132,7 @@ func (r *Run) Prefetch() bool {
 // touches only the RNG streams, read-only spec state and p's channels. A
 // panic is captured and handed over in place of the next block.
 func (r *Run) produce(p *prefetch, n, maxOps int) {
+	pprof.SetGoroutineLabels(producerLabels)
 	defer close(p.done)
 	var b *opBlock
 	defer func() {

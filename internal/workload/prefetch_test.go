@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"runtime/pprof"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -80,6 +83,37 @@ func TestPrefetchMatchesInline(t *testing.T) {
 // TestPrefetchProducerPanic injects a panic into the producer goroutine
 // and requires it to resurface on the taking goroutine, where a caller
 // can recover it, rather than kill the process.
+// The producer goroutine carries the javasim=prefetch pprof label, which
+// a goroutine profile taken while it runs shows.
+func TestPrefetchProducerLabel(t *testing.T) {
+	inside, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	prefetchHook = func() {
+		once.Do(func() {
+			close(inside)
+			<-release
+		})
+	}
+	defer func() { prefetchHook = nil }()
+
+	r, _ := NewRun(XalanSpec().Scale(0.05), 4, 1)
+	r.ReuseUnitBuffers()
+	if !r.Prefetch() {
+		t.Fatal("Prefetch did not start")
+	}
+	<-inside
+	var buf bytes.Buffer
+	err := pprof.Lookup("goroutine").WriteTo(&buf, 1)
+	close(release)
+	r.StopPrefetch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"javasim":"prefetch"`) {
+		t.Errorf("goroutine profile has no javasim=prefetch label:\n%s", buf.String())
+	}
+}
+
 func TestPrefetchProducerPanic(t *testing.T) {
 	const failAt = 100
 	units := 0
